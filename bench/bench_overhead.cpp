@@ -7,21 +7,21 @@
  * in practice.
  *
  * The binary first asserts that the trace layer costs nothing when
- * disabled (< 2% on the candidate-evaluation hot loop, reported on
- * stderr; a failure makes the process exit non-zero), then sweeps the
- * evaluation-engine thread count over the circuits/ corpus and emits
- * a CSV (per-circuit wall clock at 1, 2, 4, and hardware threads,
- * speedup vs serial, and a check that every thread count produced
- * bit-identical versions), then runs the google-benchmark scaling
+ * disabled (< 2% on the candidate-pricing hot loop, reported on
+ * stderr; a failure makes the process exit non-zero), then sweeps
+ * QS-CaQR over BV and CC at widths 64, 128 and 256 on one thread and
+ * emits a CSV (best-of-3 wall clock per width, then the fitted log-log
+ * scaling exponent per family), then runs the google-benchmark scaling
  * study. One instrumented run leaves `bench_overhead.trace.json` and
  * `bench_overhead.metrics.csv` in the working directory.
  */
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/benchmarks.h"
@@ -29,11 +29,8 @@
 #include "core/qs_caqr.h"
 #include "core/sr_caqr.h"
 #include "graph/generators.h"
-#include "qasm/parser.h"
-#include "qasm/printer.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace {
@@ -41,38 +38,17 @@ namespace {
 using namespace caqr;
 
 // ---------------------------------------------------------------------
-// Thread-count sweep over the circuits/ corpus
+// Width sweep
 // ---------------------------------------------------------------------
-
-/// Serialized fingerprint of a full result: any divergence between
-/// thread counts — chosen pairs, wire layout, emitted gates — shows up.
-std::string
-result_fingerprint(const core::QsCaqrResult& result)
-{
-    std::string fp;
-    for (const auto& version : result.versions) {
-        fp += std::to_string(version.qubits) + ":" +
-              std::to_string(version.depth) + ":" +
-              std::to_string(version.duration_dt) + "\n";
-        for (const auto& pair : version.applied) {
-            fp += std::to_string(pair.source) + ">" +
-                  std::to_string(pair.target) + ";";
-        }
-        fp += qasm::to_qasm(version.circuit);
-    }
-    return fp;
-}
 
 /// Best-of-@p reps wall-clock milliseconds for one full qs_caqr run.
 double
-time_qs_caqr_ms(const circuit::Circuit& circuit, int threads, int reps)
+time_qs_caqr_ms(const circuit::Circuit& circuit, int reps)
 {
-    core::QsCaqrOptions options;
-    options.num_threads = threads;
     double best = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
-        auto result = core::qs_caqr_or(circuit, options).value();
+        auto result = core::qs_caqr_or(circuit).value();
         const auto stop = std::chrono::steady_clock::now();
         benchmark::DoNotOptimize(result.versions.size());
         const double ms =
@@ -83,52 +59,46 @@ time_qs_caqr_ms(const circuit::Circuit& circuit, int threads, int reps)
     return best;
 }
 
-void
-run_thread_sweep()
+/// Least-squares slope of log(ms) over log(width): the empirical
+/// exponent k in time ~ width^k.
+double
+loglog_exponent(const std::vector<int>& widths, const std::vector<double>& ms)
 {
-    const std::vector<std::string> corpus = {
-        "4mod5", "rd32",  "xor_5",       "system_9",
-        "cc_10", "bv_10", "multiply_13", "bv_64",
-    };
-    const int hardware = util::ThreadPool::resolve_threads(0);
-    std::vector<int> thread_counts = {1, 2, 4, hardware};
-    std::sort(thread_counts.begin(), thread_counts.end());
-    thread_counts.erase(
-        std::unique(thread_counts.begin(), thread_counts.end()),
-        thread_counts.end());
+    const double n = static_cast<double>(widths.size());
+    double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+        const double x = std::log(static_cast<double>(widths[i]));
+        const double y = std::log(ms[i]);
+        sx += x;
+        sy += y;
+        sxx += x * x;
+        sxy += x * y;
+    }
+    return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
 
-    std::printf("circuit,qubits,gates,threads,best_ms,speedup,identical\n");
-    for (const auto& name : corpus) {
-        const std::string path =
-            std::string(CAQR_CIRCUITS_DIR) + "/" + name + ".qasm";
-        const auto parsed = qasm::parse_circuit_file(path);
-        if (!parsed.ok()) {
-            std::fprintf(stderr, "skipping %s: %s\n", path.c_str(),
-                         parsed.status().to_string().c_str());
-            continue;
+void
+run_width_sweep()
+{
+    const std::vector<int> widths = {64, 128, 256};
+    std::vector<std::pair<std::string, double>> exponents;
+    std::printf("family,width,gates,versions,best_ms\n");
+    for (const std::string family : {"bv", "cc"}) {
+        std::vector<double> ms;
+        for (int width : widths) {
+            const auto circuit = family == "bv" ? apps::bv_circuit(width)
+                                                : apps::cc_circuit(width);
+            const std::size_t versions =
+                core::qs_caqr_or(circuit).value().versions.size();
+            ms.push_back(time_qs_caqr_ms(circuit, 3));
+            std::printf("%s,%d,%zu,%zu,%.3f\n", family.c_str(), width,
+                        circuit.size(), versions, ms.back());
         }
-        const auto& circuit = *parsed;
-
-        core::QsCaqrOptions serial;
-        serial.num_threads = 1;
-        const std::string baseline_fp =
-            result_fingerprint(core::qs_caqr_or(circuit, serial).value());
-
-        double serial_ms = 0.0;
-        for (int threads : thread_counts) {
-            const double ms = time_qs_caqr_ms(circuit, threads, 3);
-            if (threads == 1) serial_ms = ms;
-
-            core::QsCaqrOptions options;
-            options.num_threads = threads;
-            const bool identical =
-                result_fingerprint(core::qs_caqr_or(circuit, options).value()) ==
-                baseline_fp;
-            std::printf("%s,%d,%zu,%d,%.3f,%.2f,%s\n", name.c_str(),
-                        circuit.num_qubits(), circuit.size(), threads, ms,
-                        serial_ms > 0.0 ? serial_ms / ms : 1.0,
-                        identical ? "yes" : "NO");
-        }
+        exponents.emplace_back(family, loglog_exponent(widths, ms));
+    }
+    std::printf("\nfamily,loglog_exponent\n");
+    for (const auto& [family, exponent] : exponents) {
+        std::printf("%s,%.2f\n", family.c_str(), exponent);
     }
 }
 
@@ -137,29 +107,30 @@ run_thread_sweep()
 // ---------------------------------------------------------------------
 
 /// The trace layer claims zero cost when disabled: the candidate-
-/// evaluation hot loop then runs the compile-time NullSink
+/// pricing hot loop then runs the compile-time NullSink
 /// instantiation, which is the exact pre-instrumentation code. Checked
 /// empirically with interleaved median-of-k timings: the disabled path
 /// must not be slower than the enabled path (which does strictly more
 /// work — clock reads, counter tallies, span records) beyond a 2%
 /// noise margin. Medians (not single best-of samples) keep the gate
 /// stable on loaded CI machines, where one descheduled run used to
-/// flip the verdict.
+/// flip the verdict. A BV_32 search takes only a few ms, so the
+/// median runs over 21 interleaved pairs.
 bool
 run_overhead_check()
 {
     const auto circuit = apps::bv_circuit(32);
-    const int reps = 7;
+    const int reps = 21;
     std::vector<double> disabled_ms;
     std::vector<double> enabled_ms;
     disabled_ms.reserve(reps);
     enabled_ms.reserve(reps);
     for (int rep = 0; rep < reps; ++rep) {
         util::trace::set_enabled(false);
-        disabled_ms.push_back(time_qs_caqr_ms(circuit, 1, 1));
+        disabled_ms.push_back(time_qs_caqr_ms(circuit, 1));
 
         util::trace::set_enabled(true);
-        enabled_ms.push_back(time_qs_caqr_ms(circuit, 1, 1));
+        enabled_ms.push_back(time_qs_caqr_ms(circuit, 1));
         util::trace::reset();
     }
     const double median_disabled = util::median(disabled_ms);
@@ -206,19 +177,19 @@ BENCHMARK(BM_QsCaqrBv)->Arg(4)->Arg(6)->Arg(8)->Arg(12)->Arg(16)
     ->Complexity(benchmark::oAuto)->Unit(benchmark::kMillisecond);
 
 void
-BM_QsCaqrBvThreads(benchmark::State& state)
+BM_QsCaqrBvWide(benchmark::State& state)
 {
-    // Same search at a fixed size, sweeping the engine thread count.
-    const auto circuit = apps::bv_circuit(32);
-    core::QsCaqrOptions options;
-    options.num_threads = static_cast<int>(state.range(0));
+    // The wide end of the same search: all-ones BV at 64..256 qubits.
+    const int n = static_cast<int>(state.range(0));
+    const auto circuit = apps::bv_circuit(n);
     for (auto _ : state) {
-        auto result = core::qs_caqr_or(circuit, options).value();
+        auto result = core::qs_caqr_or(circuit).value();
         benchmark::DoNotOptimize(result.versions.size());
     }
+    state.SetComplexityN(n);
 }
-BENCHMARK(BM_QsCaqrBvThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QsCaqrBvWide)->Arg(64)->Arg(128)->Arg(256)
+    ->Complexity(benchmark::oAuto)->Unit(benchmark::kMillisecond);
 
 void
 BM_SrCaqrBv(benchmark::State& state)
@@ -274,7 +245,7 @@ int
 main(int argc, char** argv)
 {
     const bool overhead_ok = run_overhead_check();
-    run_thread_sweep();
+    run_width_sweep();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

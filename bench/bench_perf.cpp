@@ -4,14 +4,16 @@
  * pipeline.
  *
  * Runs a fixed corpus — every circuits/*.qasm under the baseline,
- * QS-CaQR, and SR-CaQR strategies, two synthetic QAOA commuting
- * workloads under QS-CaQR-commuting, and two simulator-backed entries
+ * QS-CaQR, and SR-CaQR strategies, generated 128- and 256-qubit BV
+ * under QS-CaQR, two synthetic QAOA commuting workloads under
+ * QS-CaQR-commuting, and two simulator-backed entries
  * (single-threaded and shot-parallel) —
  * through one `caqr::Service` with warmup + repeat sampling, and
  * emits a schema-versioned `BENCH_caqr.json`:
  *
  *   { "schema_version": 1, "generator": "bench_perf",
- *     "git_sha": "...", "threads": 1, "warmup": 1, "repeats": 3,
+ *     "git_sha": "...", "threads": 1, "hardware_concurrency": N,
+ *     "warmup": 1, "repeats": 3,
  *     "benchmarks": [ { "name", "strategy", "backend",
  *       "wall_ms_median", "wall_ms_p90", "wall_ms_min",
  *       "qubits", "depth", "swaps", "reuses", "esp",
@@ -39,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/benchmarks.h"
 #include "core/commuting.h"
 #include "graph/generators.h"
 #include "service/service.h"
@@ -129,7 +132,7 @@ simulate_stage_ms(const CompileReport& report)
 }
 
 /// The fixed corpus: every circuits/*.qasm x {baseline, qs_caqr,
-/// sr_caqr}, two synthetic QAOA interaction graphs under
+/// sr_caqr}, bv_128 and bv_256 under qs_caqr, two synthetic QAOA interaction graphs under
 /// qs_commuting, and bv_10 with the shot simulator attached at one
 /// and eight threads.
 std::vector<BenchCase>
@@ -159,6 +162,19 @@ build_corpus(const std::string& corpus_dir, const std::string& backend)
             entry.request = expanded;
             cases.push_back(std::move(entry));
         }
+    }
+
+    // Wide QS-CaQR probes beyond the corpus, generated rather than
+    // checked in (other tests iterate circuits/): all-ones BV, the
+    // paper's star-graph worst case, where the reuse search dominates.
+    for (const int width : {128, 256}) {
+        BenchCase entry;
+        entry.name = "bv_" + std::to_string(width);
+        entry.request = prototype;
+        entry.request.name = entry.name;
+        entry.request.strategy = Strategy::kQsCaqr;
+        entry.request.circuit = apps::bv_circuit(width);
+        cases.push_back(std::move(entry));
     }
 
     // Commuting workloads have no .qasm form; fixed seeds keep the
@@ -232,6 +248,8 @@ write_json(std::ostream& os, const std::vector<BenchResult>& results,
        << ",\"generator\":\"bench_perf\""
        << ",\"git_sha\":\"" << git_sha() << "\""
        << ",\"threads\":1"
+       << ",\"hardware_concurrency\":"
+       << std::thread::hardware_concurrency()
        << ",\"warmup\":" << warmup << ",\"repeats\":" << repeats
        << ",\n\"benchmarks\":[";
     bool first = true;

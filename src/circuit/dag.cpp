@@ -1,8 +1,7 @@
-#include <cmath>
 #include "circuit/dag.h"
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 
 #include "util/logging.h"
 
@@ -102,100 +101,66 @@ CircuitDag::nodes_on_qubit(int q) const
     return per_qubit_[q];
 }
 
-const std::vector<std::vector<std::uint64_t>>&
-CircuitDag::closure() const
-{
-    if (closure_.empty() && graph_.num_nodes() > 0) {
-        closure_ = graph_.transitive_closure();
-    }
-    return closure_;
-}
-
-std::vector<std::vector<std::uint64_t>>
-CircuitDag::take_closure()
-{
-    closure();  // force computation
-    return std::move(closure_);
-}
-
 void
-CircuitDag::seed_closure(
-    const std::vector<std::vector<std::uint64_t>>& prev_closure,
-    const std::vector<int>& node_map)
+CircuitDag::build_qubit_matrices() const
 {
-    CAQR_CHECK(closure_.empty(),
-               "seed_closure called on an already-computed closure");
-    const int n = graph_.num_nodes();
-    CAQR_CHECK(prev_closure.size() == node_map.size(),
-               "node_map does not match the previous closure");
-    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-    closure_.assign(static_cast<std::size_t>(n),
-                    std::vector<std::uint64_t>(words, 0));
-
-    std::vector<bool> inserted(static_cast<std::size_t>(n), true);
-    for (int mapped : node_map) {
-        CAQR_CHECK(mapped >= 0 && mapped < n, "node_map entry out of range");
-        inserted[static_cast<std::size_t>(mapped)] = false;
-    }
-
-    // Surviving instructions keep their mutual reachability.
-    for (std::size_t old_u = 0; old_u < node_map.size(); ++old_u) {
-        auto& row = closure_[static_cast<std::size_t>(node_map[old_u])];
-        const auto& prev_row = prev_closure[old_u];
-        for (std::size_t w = 0; w < prev_row.size(); ++w) {
-            std::uint64_t bits = prev_row[w];
-            while (bits != 0) {
-                const int old_v = static_cast<int>(w) * 64 +
-                                  std::countr_zero(bits);
-                bits &= bits - 1;
-                const int new_v = node_map[static_cast<std::size_t>(old_v)];
-                row[static_cast<std::size_t>(new_v) >> 6] |=
-                    1ULL << (static_cast<std::size_t>(new_v) & 63);
+    // Qubit-level reachability in one forward pass (node ids are a
+    // topological order): anc[v] is the set of qubits carrying a strict
+    // ancestor of v. Barriers pass their ancestry on but contribute no
+    // qubits of their own. Every edge counts, classical-bit ones
+    // included, so dependences through a shared measure bit are kept.
+    const auto& instrs = circuit_->instructions();
+    const std::size_t num_qubits =
+        static_cast<std::size_t>(circuit_->num_qubits());
+    qubit_words_ = (num_qubits + 63) / 64;
+    depends_.assign(num_qubits * qubit_words_, 0);
+    shares_.assign(num_qubits * qubit_words_, 0);
+    std::vector<std::uint64_t> anc(instrs.size() * qubit_words_, 0);
+    auto set_bit = [](std::uint64_t* row, int q) {
+        row[static_cast<std::size_t>(q) >> 6] |=
+            1ULL << (static_cast<std::size_t>(q) & 63);
+    };
+    for (std::size_t v = 0; v < instrs.size(); ++v) {
+        std::uint64_t* row = anc.data() + v * qubit_words_;
+        for (int p : graph_.predecessors(static_cast<int>(v))) {
+            const std::size_t pi = static_cast<std::size_t>(p);
+            const std::uint64_t* prow = anc.data() + pi * qubit_words_;
+            for (std::size_t w = 0; w < qubit_words_; ++w) row[w] |= prow[w];
+            if (instrs[pi].kind == GateKind::kBarrier) continue;
+            for (int q : instrs[pi].qubits) set_bit(row, q);
+        }
+        if (instrs[v].kind == GateKind::kBarrier) continue;
+        for (int q : instrs[v].qubits) {
+            const std::size_t base = static_cast<std::size_t>(q) * qubit_words_;
+            for (std::size_t w = 0; w < qubit_words_; ++w) {
+                depends_[base + w] |= row[w];
             }
-        }
-    }
-
-    // The spliced measure/reset nodes only add dependencies through
-    // their own incident edges; replay those incrementally.
-    for (int v = 0; v < n; ++v) {
-        if (!inserted[static_cast<std::size_t>(v)]) continue;
-        for (int p : graph_.predecessors(v)) {
-            graph::Digraph::closure_add_edge(closure_, p, v);
-        }
-        for (int s : graph_.successors(v)) {
-            graph::Digraph::closure_add_edge(closure_, v, s);
+            for (int r : instrs[v].qubits) set_bit(shares_.data() + base, r);
         }
     }
 }
 
-const std::vector<std::uint64_t>&
-CircuitDag::closure_row(int node) const
+bool
+CircuitDag::qubit_bit(const std::vector<std::uint64_t>& matrix, int qi,
+                      int qj) const
 {
-    return closure()[static_cast<std::size_t>(node)];
+    std::call_once(qubit_matrices_built_, [this] { build_qubit_matrices(); });
+    const std::size_t index =
+        static_cast<std::size_t>(qi) * qubit_words_ +
+        (static_cast<std::size_t>(qj) >> 6);
+    return (matrix[index] >> (static_cast<std::size_t>(qj) & 63)) & 1;
 }
 
 bool
 CircuitDag::qubit_depends_on(int qi, int qj) const
 {
-    // Does any node on qi sit downstream of any node on qj?
-    for (int src : per_qubit_[qj]) {
-        const auto& row = closure_row(src);
-        for (int dst : per_qubit_[qi]) {
-            if (graph::Digraph::closure_bit(row, dst)) return true;
-        }
-    }
-    return false;
+    return qubit_bit(depends_, qi, qj);
 }
 
 bool
 CircuitDag::qubits_share_gate(int qi, int qj) const
 {
-    for (int node : per_qubit_[qi]) {
-        if (circuit_->at(static_cast<std::size_t>(node)).uses_qubit(qj)) {
-            return true;
-        }
-    }
-    return false;
+    return qubit_bit(shares_, qi, qj);
 }
 
 std::vector<bool>

@@ -13,6 +13,7 @@
 #define CAQR_CIRCUIT_DAG_H
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -47,7 +48,8 @@ class CircuitDag
      * True if some operation on @p qi transitively depends on some
      * operation on @p qj — i.e. reuse pair (qi -> qj) violates
      * Condition 2 because gates on qi cannot all finish before gates on
-     * qj start. The transitive closure is computed lazily and cached.
+     * qj start. Answered from a qubit-level bit matrix built on the
+     * first Condition 1/2 query (thread-safe).
      */
     bool qubit_depends_on(int qi, int qj) const;
 
@@ -67,45 +69,35 @@ class CircuitDag
      * between the gates on @p qi and the gates on @p qj (the tentative
      * reuse evaluation of §3.2.1). @p dummy_weight is the dummy node's
      * duration (measure + conditioned reset under the model in use).
-     * Returns the resulting weighted critical path; the circuit itself
-     * is not modified.
+     * Copies the graph and recomputes the critical path; QS-CaQR prices
+     * candidates with the equivalent closed form instead, and this
+     * full evaluation serves as its test oracle. The circuit itself is
+     * not modified.
      */
     double reuse_critical_path(int qi, int qj, const DurationModel& model,
                                double dummy_weight) const;
 
-    /// Full transitive closure over the instruction DAG (computed
-    /// lazily on first use, then cached).
-    const std::vector<std::vector<std::uint64_t>>& closure() const;
-
-    /// Moves the cached closure out (forcing computation first). Used
-    /// to carry reachability across a committed reuse splice; the cache
-    /// reverts to lazy from-scratch computation afterwards.
-    std::vector<std::vector<std::uint64_t>> take_closure();
-
-    /**
-     * Pre-seeds the lazy closure cache from the closure of the circuit
-     * a committed reuse splice was applied to, instead of recomputing
-     * it wholesale. @p node_map is apply_reuse's instruction index map
-     * (old index -> index in this DAG's circuit, every entry >= 0).
-     *
-     * A splice only *adds* dependencies: surviving instructions keep
-     * their mutual reachability, and the spliced measure/reset
-     * instructions (the indices absent from @p node_map) contribute
-     * exactly the edges incident to them, which are replayed through
-     * Digraph::closure_add_edge. The seeded matrix is identical to a
-     * from-scratch transitive closure of this DAG.
-     */
-    void seed_closure(
-        const std::vector<std::vector<std::uint64_t>>& prev_closure,
-        const std::vector<int>& node_map);
-
   private:
-    const std::vector<std::uint64_t>& closure_row(int node) const;
+    /// Fills the qubit matrices in one forward pass over the nodes.
+    void build_qubit_matrices() const;
+
+    /// Bit @p qj of row @p qi of a qubit matrix, building the matrices
+    /// on first use.
+    bool qubit_bit(const std::vector<std::uint64_t>& matrix, int qi,
+                   int qj) const;
 
     const Circuit* circuit_;
     graph::Digraph graph_;
     std::vector<std::vector<int>> per_qubit_;
-    mutable std::vector<std::vector<std::uint64_t>> closure_;  // lazy
+    /// Qubit matrices, row-major with qubit_words_ words per row:
+    /// depends_ row qi holds every qj with an operation that is a strict
+    /// ancestor of an operation on qi; shares_ row qi holds every qj
+    /// that appears in a gate with qi. Built lazily: most DAGs are only
+    /// asked for depth or duration.
+    mutable std::once_flag qubit_matrices_built_;
+    mutable std::size_t qubit_words_ = 0;
+    mutable std::vector<std::uint64_t> depends_;
+    mutable std::vector<std::uint64_t> shares_;
 };
 
 }  // namespace caqr::circuit

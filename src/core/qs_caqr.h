@@ -41,10 +41,11 @@ struct QsVersion
     double duration_dt = 0.0;
 };
 
-/// QS-CaQR options for regular circuits. The embedded CommonOptions
-/// supply `num_threads` for the tentative-splice engine (the chosen
-/// pairs — and every generated version — are bit-identical for any
-/// value) and the per-request trace opt-out.
+/// QS-CaQR options for regular circuits. The search is serial: it
+/// prices every candidate in closed form, so it reads only the
+/// per-request trace opt-out from the embedded CommonOptions, not
+/// `num_threads` (ESP-based version selection, select_best_by_esp,
+/// still sizes its transpile pool from it).
 struct QsCaqrOptions : CommonOptions
 {
     /// Stop once this many qubits is reached; -1 = squeeze to minimum.

@@ -1,5 +1,7 @@
 #include "core/reuse_analysis.h"
 
+#include <algorithm>
+
 #include "circuit/timing.h"
 #include "core/qs_caqr.h"
 #include "core/reuse_transform.h"
@@ -38,6 +40,32 @@ find_reuse_pairs(const circuit::CircuitDag& dag)
         }
     }
     return pairs;
+}
+
+SpliceCosts::SpliceCosts(const circuit::CircuitDag& dag,
+                         const circuit::DurationModel& model,
+                         double dummy_weight)
+    : dummy_weight_(dummy_weight)
+{
+    const auto& circuit = dag.circuit();
+    std::vector<double> weights;
+    weights.reserve(circuit.size());
+    for (const auto& instr : circuit.instructions()) {
+        weights.push_back(model.duration(instr));
+    }
+    const auto finish = dag.graph().earliest_completion(weights);
+    const auto tail = dag.graph().longest_from(weights);
+    for (double f : finish) critical_ = std::max(critical_, f);
+
+    const int num_qubits = circuit.num_qubits();
+    qubit_finish_.assign(static_cast<std::size_t>(num_qubits), 0.0);
+    qubit_tail_.assign(static_cast<std::size_t>(num_qubits), 0.0);
+    for (int q = 0; q < num_qubits; ++q) {
+        for (int node : dag.nodes_on_qubit(q)) {
+            qubit_finish_[q] = std::max(qubit_finish_[q], finish[node]);
+            qubit_tail_[q] = std::max(qubit_tail_[q], tail[node]);
+        }
+    }
 }
 
 ReuseAdvice

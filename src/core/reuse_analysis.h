@@ -14,9 +14,11 @@
 #ifndef CAQR_CORE_REUSE_ANALYSIS_H
 #define CAQR_CORE_REUSE_ANALYSIS_H
 
+#include <algorithm>
 #include <vector>
 
 #include "circuit/dag.h"
+#include "circuit/timing.h"
 
 namespace caqr::core {
 
@@ -39,9 +41,47 @@ struct ReusePair
 bool is_valid_reuse_pair(const circuit::CircuitDag& dag, int source,
                          int target);
 
-/// All valid reuse pairs of @p dag (O(k^2) legality checks over the
-/// cached transitive closure).
+/// All valid reuse pairs of @p dag, source-major (O(k^2) bit tests on
+/// the DAG's qubit matrices).
 std::vector<ReusePair> find_reuse_pairs(const circuit::CircuitDag& dag);
+
+/**
+ * Closed-form post-splice critical paths for the reuse candidates of
+ * one DAG (the tentative evaluation of §3.2.1). Splicing the
+ * measure/reset dummy between the gates on `source` and the gates on
+ * `target` only adds paths through the dummy, so the result is
+ * max(critical, qubit_finish[source] + dummy + qubit_tail[target]):
+ * the latest ASAP finish on the source plus the longest suffix that
+ * starts on the target. Equal to CircuitDag::reuse_critical_path for
+ * every valid pair, at O(1) per candidate after one O(V + E) setup.
+ */
+class SpliceCosts
+{
+  public:
+    SpliceCosts(const circuit::CircuitDag& dag,
+                const circuit::DurationModel& model, double dummy_weight);
+
+    /// Critical path of the DAG without a splice.
+    double critical() const { return critical_; }
+
+    /// Latest earliest-completion time of any operation on @p q.
+    double qubit_finish(int q) const { return qubit_finish_[q]; }
+
+    /// Critical path after splicing the dummy for @p pair.
+    double
+    cost(ReusePair pair) const
+    {
+        return std::max(critical_, qubit_finish_[pair.source] +
+                                       dummy_weight_ +
+                                       qubit_tail_[pair.target]);
+    }
+
+  private:
+    double dummy_weight_;
+    double critical_ = 0.0;
+    std::vector<double> qubit_finish_;
+    std::vector<double> qubit_tail_;
+};
 
 /**
  * Quick benefit probe (paper §1: "a method for identifying whether

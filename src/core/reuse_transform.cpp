@@ -13,28 +13,51 @@ using circuit::Circuit;
 using circuit::GateKind;
 using circuit::Instruction;
 
-/// Deterministic Kahn topological order (smallest node id first).
+/**
+ * Deterministic Kahn topological order (smallest node id first) of the
+ * DAG extended by the reuse dummy node, id `num_nodes()`, with edges
+ * from every operation on the source qubit and to every operation on
+ * the target qubit. The dummy's edges are handled in place instead of
+ * copying the graph.
+ */
 std::vector<int>
-stable_topological_order(const graph::Digraph& graph)
+spliced_topological_order(const circuit::CircuitDag& dag, ReusePair pair)
 {
+    const graph::Digraph& graph = dag.graph();
     const int n = graph.num_nodes();
-    std::vector<int> remaining(static_cast<std::size_t>(n));
+    const int dummy = n;
+    const auto& source_nodes = dag.nodes_on_qubit(pair.source);
+    const auto& target_nodes = dag.nodes_on_qubit(pair.target);
+
+    std::vector<int> remaining(static_cast<std::size_t>(n) + 1);
+    std::vector<int> into_dummy(static_cast<std::size_t>(n), 0);
+    for (int u = 0; u < n; ++u) remaining[u] = graph.in_degree(u);
+    for (int node : target_nodes) ++remaining[node];
+    for (int node : source_nodes) ++into_dummy[node];
+    remaining[dummy] = static_cast<int>(source_nodes.size());
+
     std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
-    for (int u = 0; u < n; ++u) {
-        remaining[u] = graph.in_degree(u);
+    for (int u = 0; u <= n; ++u) {
         if (remaining[u] == 0) ready.push(u);
     }
+    auto release = [&](int v, int edges) {
+        remaining[v] -= edges;
+        if (edges > 0 && remaining[v] == 0) ready.push(v);
+    };
     std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(n));
+    order.reserve(static_cast<std::size_t>(n) + 1);
     while (!ready.empty()) {
         const int u = ready.top();
         ready.pop();
         order.push_back(u);
-        for (int v : graph.successors(u)) {
-            if (--remaining[v] == 0) ready.push(v);
+        if (u == dummy) {
+            for (int v : target_nodes) release(v, 1);
+            continue;
         }
+        for (int v : graph.successors(u)) release(v, 1);
+        release(dummy, into_dummy[u]);
     }
-    CAQR_CHECK(static_cast<int>(order.size()) == n,
+    CAQR_CHECK(static_cast<int>(order.size()) == n + 1,
                "reuse transform requires an acyclic extended DAG");
     return order;
 }
@@ -62,16 +85,8 @@ apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
     CAQR_CHECK(static_cast<int>(orig_of.size()) == input.num_qubits(),
                "orig_of size mismatch");
 
-    // Extended DAG with the measurement/reset dummy node.
-    graph::Digraph extended = dag.graph();
-    const int dummy = extended.add_node();
-    for (int node : dag.nodes_on_qubit(pair.source)) {
-        extended.add_edge(node, dummy);
-    }
-    for (int node : dag.nodes_on_qubit(pair.target)) {
-        extended.add_edge(dummy, node);
-    }
-    const auto order = stable_topological_order(extended);
+    const int dummy = dag.graph().num_nodes();
+    const auto order = spliced_topological_order(dag, pair);
 
     // Does the source wire already end in a measurement?
     const auto& source_nodes = dag.nodes_on_qubit(pair.source);
@@ -93,7 +108,6 @@ apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
 
     Circuit output(input.num_qubits() - 1, input.num_clbits());
     output.copy_params_from(input);
-    std::vector<int> node_map(input.size(), -1);
     for (int node : order) {
         if (node == dummy) {
             int clbit = source_measure_clbit;
@@ -110,14 +124,11 @@ apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
         for (auto& q : instr.qubits) {
             q = (q == pair.target) ? source_wire : new_wire(q);
         }
-        node_map[static_cast<std::size_t>(node)] =
-            static_cast<int>(output.size());
         output.append(std::move(instr));
     }
 
     TransformResult result;
     result.circuit = std::move(output);
-    result.node_map = std::move(node_map);
     result.orig_of.resize(static_cast<std::size_t>(input.num_qubits() - 1));
     for (int q = 0; q < input.num_qubits(); ++q) {
         if (q == pair.target) continue;

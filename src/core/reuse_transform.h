@@ -23,11 +23,6 @@ struct TransformResult
     /// orig_of[new wire] = caller-provided identity of that wire (see
     /// apply_reuse's @p orig_of parameter).
     std::vector<int> orig_of;
-    /// node_map[i] = index in `circuit` of input instruction i (every
-    /// input instruction survives the splice). Output indices absent
-    /// from the map are the inserted measure/reset instructions. Feeds
-    /// CircuitDag::seed_closure for incremental reachability.
-    std::vector<int> node_map;
 };
 
 /**
@@ -44,8 +39,7 @@ TransformResult apply_reuse(const circuit::Circuit& input, ReusePair pair,
                             std::vector<int> orig_of = {});
 
 /// Overload reusing a caller-owned DAG of the input circuit (avoids
-/// rebuilding it and its reachability cache). @p dag must be built over
-/// @p input's current state.
+/// rebuilding it). @p dag must be built over @p input's current state.
 TransformResult apply_reuse(const circuit::CircuitDag& dag, ReusePair pair,
                             std::vector<int> orig_of = {});
 

@@ -1,19 +1,15 @@
 /// Tests for the gate-dependency DAG: structure, depth/duration,
-/// criticality, the reuse legality queries it backs, and the
-/// incremental transitive-closure maintenance used by the QS-CaQR
-/// evaluation engine.
+/// criticality, and the qubit-level reuse legality queries it backs,
+/// checked against node-level oracles on random dynamic circuits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "apps/benchmarks.h"
 #include "circuit/dag.h"
 #include "circuit/timing.h"
-#include "core/reuse_analysis.h"
-#include "core/reuse_transform.h"
-#include "graph/digraph.h"
+#include "random_dynamic_circuit.h"
 #include "util/rng.h"
 
 namespace caqr {
@@ -185,151 +181,99 @@ TEST(Dag, BvStructureMatchesPaper)
     EXPECT_EQ(dag.depth(), 8);
 }
 
-// ---------------------------------------------------------------------
-// Incremental reachability
-// ---------------------------------------------------------------------
-
-TEST(ClosureAddEdge, MatchesRecomputeOnRandomDags)
+TEST(Dag, QubitDependenceFollowsClassicalBit)
 {
-    // Grow random DAGs (edges only i -> j with i < j, so acyclic by
-    // construction) one edge at a time, updating the closure in place,
-    // and check it stays identical to a from-scratch recompute.
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        util::Rng rng(seed);
-        const int n = 20;
-        graph::Digraph graph(n);
-        auto closure = graph.transitive_closure();
-
-        std::vector<std::pair<int, int>> edges;
-        for (int i = 0; i < n; ++i) {
-            for (int j = i + 1; j < n; ++j) {
-                if (rng.next_bool(0.15)) edges.push_back({i, j});
-            }
-        }
-        rng.shuffle(edges);
-        for (const auto& [u, v] : edges) {
-            graph.add_edge(u, v);
-            graph::Digraph::closure_add_edge(closure, u, v);
-            ASSERT_EQ(closure, graph.transitive_closure())
-                << "seed " << seed << " after edge " << u << "->" << v;
-        }
-    }
-}
-
-TEST(ClosureAddEdge, PropagatesThroughChains)
-{
-    // 0 -> 1 and 2 -> 3 exist; adding 1 -> 2 must connect all four.
-    graph::Digraph graph(4);
-    graph.add_edge(0, 1);
-    graph.add_edge(2, 3);
-    auto closure = graph.transitive_closure();
-    graph.add_edge(1, 2);
-    graph::Digraph::closure_add_edge(closure, 1, 2);
-    EXPECT_TRUE(graph::Digraph::closure_bit(closure[0], 3));
-    EXPECT_TRUE(graph::Digraph::closure_bit(closure[0], 2));
-    EXPECT_TRUE(graph::Digraph::closure_bit(closure[1], 3));
-    EXPECT_FALSE(graph::Digraph::closure_bit(closure[3], 0));
-    EXPECT_EQ(closure, graph.transitive_closure());
-}
-
-namespace incremental {
-
-/// Applies @p pair to @p dag, carrying the closure across the splice,
-/// and checks the seeded closure of the transformed circuit equals a
-/// from-scratch recompute. Returns the transformed circuit.
-Circuit
-check_seeded_splice(CircuitDag& dag, core::ReusePair pair)
-{
-    auto transformed = core::apply_reuse(dag, pair);
-    auto carried = dag.take_closure();
-
-    Circuit next = transformed.circuit;
-    CircuitDag seeded(next);
-    seeded.seed_closure(carried, transformed.node_map);
-    EXPECT_EQ(seeded.closure(), seeded.graph().transitive_closure());
-    return next;
-}
-
-}  // namespace incremental
-
-TEST(SeedClosure, MatchesFreshOnMeasuredSource)
-{
-    // Source wire ends in a measurement: the splice inserts only the
-    // conditional-X reset.
-    Circuit c(2, 2);
-    c.h(0);
+    // q1's conditioned gate reads the bit q0 wrote: q1 depends on q0.
+    Circuit c(3, 1);
     c.measure(0, 0);
-    c.h(1);
-    c.measure(1, 1);
+    c.x_if(1, 0, 1);
+    c.h(2);
     CircuitDag dag(c);
-    const auto pairs = core::find_reuse_pairs(dag);
-    ASSERT_FALSE(pairs.empty());
-    incremental::check_seeded_splice(dag, pairs.front());
+    EXPECT_TRUE(dag.qubit_depends_on(1, 0));
+    EXPECT_FALSE(dag.qubit_depends_on(0, 1));
+    EXPECT_FALSE(dag.qubit_depends_on(2, 0));
 }
 
-TEST(SeedClosure, MatchesFreshOnScratchClbitSource)
+TEST(Dag, BarrierPassesAncestryWithoutQubits)
 {
-    // Source wire never measured: the splice adds a scratch clbit and a
-    // measurement before the reset.
-    Circuit c(2, 1);
+    // h(1) follows h(0) through the barrier; the barrier node itself
+    // spans every qubit but contributes none of them as an ancestor.
+    Circuit c(3, 0);
     c.h(0);
-    c.z(0);
+    c.barrier();
     c.h(1);
-    c.measure(1, 0);
     CircuitDag dag(c);
-    bool checked = false;
-    for (const auto& pair : core::find_reuse_pairs(dag)) {
-        CircuitDag fresh(c);
-        incremental::check_seeded_splice(fresh, pair);
-        checked = true;
-    }
-    ASSERT_TRUE(checked);
+    EXPECT_TRUE(dag.qubit_depends_on(1, 0));
+    EXPECT_FALSE(dag.qubit_depends_on(0, 1));
+    EXPECT_FALSE(dag.qubit_depends_on(1, 2));
+    EXPECT_FALSE(dag.qubits_share_gate(0, 1));
 }
 
-TEST(SeedClosure, MatchesFreshAcrossChainedSplices)
-{
-    // BV reduces all the way down; verify the carried closure at every
-    // step of the chain, mimicking the QS-CaQR sweep loop.
-    Circuit current = apps::bv_circuit(6);
-    for (int step = 0; step < 4; ++step) {
-        CircuitDag dag(current);
-        const auto pairs = core::find_reuse_pairs(dag);
-        ASSERT_FALSE(pairs.empty()) << "step " << step;
-        current = incremental::check_seeded_splice(dag, pairs.front());
-    }
-}
+// ---------------------------------------------------------------------
+// Qubit-level queries against node-level oracles
+// ---------------------------------------------------------------------
 
-TEST(SeedClosure, MatchesFreshOnRandomCircuits)
+TEST(QubitReachability, DependsOnMatchesNodeLevelPaths)
 {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         util::Rng rng(seed);
-        const int qubits = rng.next_int(3, 5);
-        Circuit c(qubits, qubits);
-        const int gates = rng.next_int(8, 20);
-        for (int g = 0; g < gates; ++g) {
-            const int q = rng.next_int(0, qubits - 1);
-            switch (rng.next_int(0, 3)) {
-            case 0: c.h(q); break;
-            case 1: c.x(q); break;
-            case 2: c.z(q); break;
-            default: {
-                const int r = rng.next_int(0, qubits - 2);
-                c.cx(q, r >= q ? r + 1 : r);
-                break;
-            }
-            }
-        }
-        // Measure a random subset so some wires end in a measurement
-        // (existing-clbit splice) and some do not (scratch-clbit splice).
-        for (int q = 0; q < qubits; ++q) {
-            if (rng.next_bool(0.6)) c.measure(q, q);
-        }
+        const Circuit c = testing::random_dynamic_circuit(rng);
         CircuitDag dag(c);
-        for (const auto& pair : core::find_reuse_pairs(dag)) {
-            CircuitDag fresh(c);
-            incremental::check_seeded_splice(fresh, pair);
+        const int k = c.num_qubits();
+        for (int qi = 0; qi < k; ++qi) {
+            for (int qj = 0; qj < k; ++qj) {
+                bool expected = false;
+                for (int src : dag.nodes_on_qubit(qj)) {
+                    for (int dst : dag.nodes_on_qubit(qi)) {
+                        expected = expected ||
+                                   (src != dst &&
+                                    dag.graph().has_path(src, dst));
+                    }
+                }
+                EXPECT_EQ(dag.qubit_depends_on(qi, qj), expected)
+                    << "seed " << seed << " qi " << qi << " qj " << qj;
+            }
         }
     }
+}
+
+TEST(QubitReachability, ShareGateMatchesInstructionWalk)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        util::Rng rng(seed);
+        const Circuit c = testing::random_dynamic_circuit(rng);
+        CircuitDag dag(c);
+        const int k = c.num_qubits();
+        for (int qi = 0; qi < k; ++qi) {
+            for (int qj = 0; qj < k; ++qj) {
+                bool expected = false;
+                for (int node : dag.nodes_on_qubit(qi)) {
+                    expected = expected ||
+                               c.at(static_cast<std::size_t>(node))
+                                   .uses_qubit(qj);
+                }
+                EXPECT_EQ(dag.qubits_share_gate(qi, qj), expected)
+                    << "seed " << seed << " qi " << qi << " qj " << qj;
+            }
+        }
+    }
+}
+
+TEST(QubitReachability, WideCircuitCrossesWordBoundaries)
+{
+    // 130 qubits: the matrices span three 64-bit words per row.
+    const auto bv = apps::bv_circuit(130);
+    CircuitDag dag(bv);
+    const int ancilla = 129;
+    for (int q : {0, 63, 64, 127, 128}) {
+        EXPECT_TRUE(dag.qubits_share_gate(q, ancilla)) << q;
+        EXPECT_TRUE(dag.qubit_depends_on(ancilla, q)) << q;
+        EXPECT_FALSE(dag.qubits_share_gate(q, (q + 1) % ancilla)) << q;
+    }
+    // The ancilla's CX fan-in serializes: data qubit 64's final H runs
+    // after data qubit 63's CX.
+    EXPECT_TRUE(dag.qubit_depends_on(64, 63));
+    EXPECT_FALSE(dag.qubit_depends_on(63, 64));
 }
 
 }  // namespace

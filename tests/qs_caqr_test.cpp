@@ -1,9 +1,16 @@
 /// Tests for QS-CaQR: regular budget sweeps, the commuting (QAOA)
-/// variant with coloring bound, scheduling, and semantics checks, and
-/// thread-count independence of the parallel evaluation engine.
+/// variant with coloring bound, scheduling, and semantics checks,
+/// thread-count independence, and a fingerprint golden pinning every
+/// generated version.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
@@ -279,7 +286,7 @@ TEST(QsCommuting, EveryVersionSchedulesAllGates)
 }
 
 // ---------------------------------------------------------------------
-// Thread-count independence of the evaluation engine
+// Thread-count independence
 // ---------------------------------------------------------------------
 
 /// Asserts two qs_caqr results are bit-identical: same version
@@ -381,6 +388,134 @@ TEST(QsCommutingDeterminism, ThreadCountDoesNotChangeResults)
                 << "version " << i;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Version golden: every QsVersion of the corpus and of seeded wide
+// BV/CC circuits, under both metrics, pinned by fingerprint.
+// ---------------------------------------------------------------------
+
+/// 64-bit FNV-1a.
+std::uint64_t
+fnv1a(const std::string& bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/// Seeded half-density bit string of length @p n.
+std::vector<int>
+golden_bits(int n, util::Rng& rng)
+{
+    std::vector<int> bits(static_cast<std::size_t>(n));
+    for (auto& bit : bits) bit = rng.next_bool(0.5) ? 1 : 0;
+    return bits;
+}
+
+/// One line per version: qubits, depth, exact duration, FNV of the
+/// emitted QASM and FNV of the applied pairs (original qubit ids).
+void
+append_version_lines(const std::string& name, const core::QsCaqrResult& result,
+                     std::string* out)
+{
+    for (std::size_t i = 0; i < result.versions.size(); ++i) {
+        const auto& version = result.versions[i];
+        std::string pairs;
+        for (const auto& pair : version.applied) {
+            pairs += std::to_string(pair.source) + ">" +
+                     std::to_string(pair.target) + ";";
+        }
+        char line[256];
+        std::snprintf(line, sizeof(line),
+                      "%s v%zu qubits=%d depth=%d dt=%.17g qasm=%016" PRIx64
+                      " pairs=%016" PRIx64 " applied=%zu\n",
+                      name.c_str(), i, version.qubits, version.depth,
+                      version.duration_dt,
+                      fnv1a(qasm::to_qasm(version.circuit)), fnv1a(pairs),
+                      version.applied.size());
+        *out += line;
+    }
+}
+
+/// Fingerprints of the whole golden set, in a fixed order.
+std::string
+golden_fingerprints()
+{
+    std::vector<std::pair<std::string, circuit::Circuit>> inputs;
+    for (const std::string name :
+         {"4mod5", "bv_10", "bv_64", "cc_10", "multiply_13", "rd32",
+          "system_9", "xor_5"}) {
+        auto parsed = qasm::parse_circuit_file(
+            std::string(CAQR_CIRCUITS_DIR) + "/" + name + ".qasm");
+        EXPECT_TRUE(parsed.ok()) << name;
+        if (parsed.ok()) inputs.emplace_back(name, std::move(*parsed));
+    }
+    for (const std::uint64_t seed : {5u, 11u}) {
+        util::Rng rng(seed);
+        for (int width = 24; width <= 64; width += 8) {
+            const auto secret = golden_bits(width - 1, rng);
+            const auto fake = golden_bits(width - 1, rng);
+            const std::string tag =
+                std::to_string(width) + "_s" + std::to_string(seed);
+            inputs.emplace_back("bv" + tag, apps::bv_circuit(width, secret));
+            inputs.emplace_back("cc" + tag, apps::cc_circuit(width, fake));
+        }
+    }
+
+    std::string out;
+    for (const auto& [name, circuit] : inputs) {
+        for (const auto metric :
+             {core::ReuseMetric::kDepth, core::ReuseMetric::kDuration}) {
+            core::QsCaqrOptions options;
+            options.metric = metric;
+            const auto result = core::qs_caqr_or(circuit, options);
+            EXPECT_TRUE(result.ok()) << name;
+            if (!result.ok()) continue;
+            append_version_lines(
+                name + (metric == core::ReuseMetric::kDepth ? "/depth"
+                                                            : "/duration"),
+                *result, &out);
+        }
+    }
+    return out;
+}
+
+TEST(QsCaqrGolden, EveryVersionMatchesRecordedFingerprint)
+{
+    // The golden was recorded from the earlier engine, which scored
+    // every pair with a full tentative splice; the closed-form search
+    // must reproduce each version exactly. On a mismatch the
+    // fresh fingerprints are written next to the test binary
+    // (qs_caqr_versions.actual) for diffing against the golden.
+    const std::string path =
+        std::string(CAQR_TEST_DATA_DIR) + "/qs_caqr_versions.golden";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden " << path;
+    std::stringstream expected;
+    expected << in.rdbuf();
+
+    const std::string actual = golden_fingerprints();
+    if (actual != expected.str()) {
+        std::ofstream("qs_caqr_versions.actual") << actual;
+    }
+    std::istringstream want(expected.str());
+    std::istringstream got(actual);
+    std::string want_line;
+    std::string got_line;
+    int line = 0;
+    while (std::getline(want, want_line)) {
+        ++line;
+        ASSERT_TRUE(std::getline(got, got_line))
+            << "fresh run ends before golden line " << line;
+        ASSERT_EQ(want_line, got_line) << "golden line " << line;
+    }
+    EXPECT_FALSE(std::getline(got, got_line))
+        << "fresh run has extra versions after line " << line;
+    EXPECT_GT(line, 0);
 }
 
 TEST(MinQubitsByColoring, MatchesKnownGraphs)

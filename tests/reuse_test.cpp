@@ -1,15 +1,20 @@
-/// Tests for reuse legality (Conditions 1 & 2) and the reuse circuit
-/// transform, including semantics preservation under simulation and a
-/// randomized property check over the full QS-CaQR engine.
+/// Tests for reuse legality (Conditions 1 & 2), the closed-form splice
+/// cost, and the reuse circuit transform, including semantics
+/// preservation under simulation and a randomized property check over
+/// the full QS-CaQR engine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/benchmarks.h"
 #include "circuit/dag.h"
 #include "core/qs_caqr.h"
 #include "core/reuse_analysis.h"
 #include "core/reuse_transform.h"
+#include "random_dynamic_circuit.h"
 #include "sim/equivalence.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -82,6 +87,26 @@ TEST(ReuseConditions, BvPairsMatchPaper)
     // only forward pairs (earlier data qubit reused by later) satisfy
     // Condition 2: C(4,2) = 6 ordered pairs.
     EXPECT_EQ(pairs.size(), 6u);
+}
+
+TEST(ReuseConditions, SplicedResetSerializesBehindConditionedRead)
+{
+    // q1 reads q0's measure bit. Splicing (q0 -> q2) places the reset
+    // x_if on that bit after q1's read, and the DAG serializes the two
+    // reads, so q2's moved gate now depends on q1. The splice's dummy
+    // node does not imply this path; only the real DAG has it.
+    Circuit c(3, 1);
+    c.h(0);
+    c.measure(0, 0);
+    c.x_if(1, 0, 1);
+    c.h(2);
+    const auto spliced = core::apply_reuse(c, ReusePair{0, 2});
+    ASSERT_EQ(spliced.circuit.at(2).qubits, std::vector<int>{1});
+    ASSERT_TRUE(spliced.circuit.at(3).has_condition());
+    CircuitDag dag(spliced.circuit);
+    EXPECT_TRUE(dag.qubit_depends_on(0, 1));
+    EXPECT_FALSE(core::is_valid_reuse_pair(dag, 0, 1));
+    EXPECT_TRUE(core::find_reuse_pairs(dag).empty());
 }
 
 TEST(ReuseTransform, ReducesQubitCountByOne)
@@ -286,6 +311,62 @@ TEST(ReuseProperty, EngineAppliesOnlyValidPairsAndPreservesSemantics)
                                                  reuse_counts),
                   0.12)
             << "seed " << seed;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Closed-form splice cost against the full tentative splice
+// ---------------------------------------------------------------------
+
+/// Checks SpliceCosts against CircuitDag::reuse_critical_path for every
+/// valid pair of @p c under the unit-depth and logical-duration models.
+void
+expect_closed_form_matches_oracle(const Circuit& c, const std::string& label)
+{
+    CircuitDag dag(c);
+    circuit::UnitDepthModel unit;
+    circuit::LogicalDurations durations;
+    const double reset_dt = circuit::LogicalDurations::kMeasure +
+                            circuit::LogicalDurations::kConditionedGate;
+    for (const auto& [model, dummy] :
+         {std::pair<const circuit::DurationModel*, double>{&unit, 1.0},
+          std::pair<const circuit::DurationModel*, double>{&durations,
+                                                           reset_dt}}) {
+        const core::SpliceCosts costs(dag, *model, dummy);
+        EXPECT_EQ(costs.critical(), dag.duration(*model)) << label;
+        for (const auto& pair : core::find_reuse_pairs(dag)) {
+            EXPECT_EQ(costs.cost(pair),
+                      dag.reuse_critical_path(pair.source, pair.target,
+                                              *model, dummy))
+                << label << " pair (" << pair.source << "," << pair.target
+                << ") dummy " << dummy;
+        }
+    }
+}
+
+TEST(SpliceCosts, MatchesTentativeSpliceOnRandomDynamicCircuits)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        util::Rng rng(seed);
+        expect_closed_form_matches_oracle(
+            testing::random_dynamic_circuit(rng),
+            "seed " + std::to_string(seed));
+    }
+}
+
+TEST(SpliceCosts, MatchesTentativeSpliceAlongReuseChains)
+{
+    // Spliced circuits carry x_if resets and scratch bits; walk BV and
+    // CC down several steps and check every intermediate DAG.
+    for (Circuit current : {apps::bv_circuit(9), apps::cc_circuit(8)}) {
+        for (int step = 0; step < 5; ++step) {
+            expect_closed_form_matches_oracle(
+                current, "step " + std::to_string(step));
+            CircuitDag dag(current);
+            const auto pairs = core::find_reuse_pairs(dag);
+            if (pairs.empty()) break;
+            current = core::apply_reuse(dag, pairs.back()).circuit;
+        }
     }
 }
 

@@ -1,6 +1,7 @@
-/// Tests for the fixed-size thread pool behind the QS-CaQR
-/// candidate-evaluation engine: task execution, deterministic result
-/// ordering, exception propagation, batch reuse, and clean shutdown.
+/// Tests for the fixed-size thread pool behind the commuting QS-CaQR
+/// search, raced routing and the service: task execution, deterministic
+/// result ordering, exception propagation, batch reuse, and clean
+/// shutdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
