@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <limits>
 #include <map>
-#include <memory>
+#include <optional>
 #include <utility>
 
 #include "circuit/dag.h"
@@ -27,24 +27,6 @@ fill_version_metrics(const circuit::CircuitDag& dag, QsVersion* version)
     circuit::LogicalDurations durations;
     version->duration_dt = dag.duration(durations);
 }
-
-/// Lazily-constructed thread pool shared by the commuting sweeps of one
-/// search. The pool is only spun up once a step actually has enough
-/// parallel work to amortize it (tiny searches stay serial end to end).
-struct EvalContext
-{
-    int threads = 1;
-    std::unique_ptr<util::ThreadPool> pool;
-
-    util::ThreadPool*
-    acquire()
-    {
-        if (threads > 1 && pool == nullptr) {
-            pool = std::make_unique<util::ThreadPool>(threads - 1);
-        }
-        return pool.get();
-    }
-};
 
 }  // namespace
 
@@ -84,20 +66,15 @@ enum class SweepPolicy {
 };
 
 /**
- * One greedy sweep, instrumented through @p sink. The sweep — and with
- * it the candidate pricing hot path — is templated on the sink type:
- * when tracing is disabled the caller instantiates it with
- * trace::NullSink (statically checked to be empty), so disabled mode
- * compiles to exactly the uninstrumented code.
- *
- * Each step builds the current version's DAG once: it yields the
- * version's metrics, the valid pairs (qubit-level Conditions 1 and 2)
- * and the closed-form splice cost of every candidate (SpliceCosts).
+ * One greedy sweep. Each step builds the current version's DAG once: it
+ * yields the version's metrics, the valid pairs (qubit-level
+ * Conditions 1 and 2) and the closed-form splice cost of every
+ * candidate (SpliceCosts). Adds the candidates priced to
+ * @p candidates.
  */
-template <class Sink>
 std::vector<QsVersion>
 run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
-          SweepPolicy policy, Sink& sink)
+          SweepPolicy policy, long long* candidates)
 {
     std::vector<QsVersion> versions;
 
@@ -130,9 +107,7 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
         }
         const auto pairs = find_reuse_pairs(dag);
         if (pairs.empty()) break;
-        sink.count("qs_caqr.steps", 1.0);
-        sink.count("qs_caqr.candidates",
-                   static_cast<double>(pairs.size()));
+        *candidates += static_cast<long long>(pairs.size());
 
         const SpliceCosts costs(dag, model, dummy_weight);
 
@@ -170,24 +145,24 @@ run_sweep(const circuit::Circuit& circuit, const QsCaqrOptions& options,
     return versions;
 }
 
-}  // namespace
-
-namespace {
-
-template <class Sink>
+/// Best-effort run (no target validation): squeezes as far as the
+/// budget allows and records whether the target was reached.
 QsCaqrResult
-qs_caqr_impl(const circuit::Circuit& circuit, const QsCaqrOptions& options,
-             Sink& sink)
+run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
 {
+    std::optional<util::trace::Span> span;
+    if (options.trace) span.emplace("qs_caqr");
+
     // Two sweeps explore complementary regions of the search space
     // (paper: "we explore the search space of qubit reuse ... and
     // choose the best reuse strategy"): the cost-greedy sweep finds
     // efficient shallow savings, the order-preserving sweep reaches
     // deep savings. Merge by qubit count, best metric wins.
-    const auto metric_sweep =
-        run_sweep(circuit, options, SweepPolicy::kMetricFirst, sink);
-    const auto order_sweep =
-        run_sweep(circuit, options, SweepPolicy::kOrderFirst, sink);
+    long long candidates = 0;
+    const auto metric_sweep = run_sweep(
+        circuit, options, SweepPolicy::kMetricFirst, &candidates);
+    const auto order_sweep = run_sweep(
+        circuit, options, SweepPolicy::kOrderFirst, &candidates);
 
     const bool by_duration = options.metric == ReuseMetric::kDuration;
     auto metric_of = [by_duration](const QsVersion& version) {
@@ -213,23 +188,17 @@ qs_caqr_impl(const circuit::Circuit& circuit, const QsCaqrOptions& options,
     result.reached_target =
         options.target_qubits < 0 ||
         result.versions.back().qubits <= options.target_qubits;
-    return result;
-}
 
-/// Best-effort run (no target validation): squeezes as far as the
-/// budget allows and records whether the target was reached.
-QsCaqrResult
-run_qs_caqr(const circuit::Circuit& circuit, const QsCaqrOptions& options)
-{
     if (options.trace && util::trace::enabled()) {
-        util::trace::Span span("qs_caqr");
-        util::trace::TallySink sink;
-        auto result = qs_caqr_impl(circuit, options, sink);
-        sink.flush();
-        return result;
+        // Every step commits one version on top of each sweep's input.
+        util::trace::counter_add(
+            "qs_caqr.steps",
+            static_cast<double>(metric_sweep.size() + order_sweep.size() -
+                                2));
+        util::trace::counter_add("qs_caqr.candidates",
+                                 static_cast<double>(candidates));
     }
-    util::trace::NullSink sink;
-    return qs_caqr_impl(circuit, options, sink);
+    return result;
 }
 
 }  // namespace
@@ -254,21 +223,26 @@ qs_caqr_or(const circuit::Circuit& circuit, const QsCaqrOptions& options)
 
 namespace {
 
+/// Work counts of one commuting search, published once per run.
+struct CommutingTally
+{
+    long long candidates = 0;
+    long long schedules_evaluated = 0;
+};
+
 /// One greedy commuting sweep. When @p evaluate_candidates is true
-/// every valid candidate (up to the budget) is scheduled — across the
-/// evaluation pool when one is available — and the cheapest (by
-/// duration, ties to the heuristically-first candidate) wins, the
-/// paper's §3.2.2 evaluation. When false, candidates follow the
-/// *temporal order* of the current schedule — source retiring earliest,
-/// target retiring latest — and the first valid one is committed.
-/// Temporal chaining never crosses the schedule's time arrow, so it
-/// reaches the deep-saving region (paper Fig 3: 64 -> ~5 qubits) that
-/// duration greed dead-ends before.
-template <class Sink>
+/// every valid candidate (up to the budget) is scheduled — fanned out
+/// through util::FanOut — and the cheapest (by duration, ties to the
+/// heuristically-first candidate) wins, the paper's §3.2.2 evaluation.
+/// When false, candidates follow the *temporal order* of the current
+/// schedule — source retiring earliest, target retiring latest — and
+/// the first valid one is committed. Temporal chaining never crosses
+/// the schedule's time arrow, so it reaches the deep-saving region
+/// (paper Fig 3: 64 -> ~5 qubits) that duration greed dead-ends before.
 std::vector<QsCommutingVersion>
 run_commuting_sweep(const CommutingSpec& spec,
                     const QsCommutingOptions& options,
-                    bool evaluate_candidates, EvalContext* ctx, Sink& sink)
+                    bool evaluate_candidates, CommutingTally* tally)
 {
     const auto& interaction = spec.interaction;
     const int n = interaction.num_nodes();
@@ -281,6 +255,7 @@ run_commuting_sweep(const CommutingSpec& spec,
 
     std::vector<bool> is_source(static_cast<std::size_t>(n), false);
     std::vector<bool> is_target(static_cast<std::size_t>(n), false);
+    util::FanOut fan_out(options);
 
     while (options.target_qubits < 0 ||
            versions.back().qubits > options.target_qubits) {
@@ -327,8 +302,7 @@ run_commuting_sweep(const CommutingSpec& spec,
             }
         }
         if (candidates.empty()) break;
-        sink.count("qs_commuting.candidates",
-                   static_cast<double>(candidates.size()));
+        tally->candidates += static_cast<long long>(candidates.size());
         std::stable_sort(candidates.begin(), candidates.end(),
                          [](const Candidate& a, const Candidate& b) {
                              return a.heuristic < b.heuristic;
@@ -359,28 +333,13 @@ run_commuting_sweep(const CommutingSpec& spec,
             }
             if (valid.empty()) break;  // every candidate was cyclic
 
-            auto schedule_one = [&](std::size_t i) {
-                return schedule_commuting(spec, pair_sets[i],
-                                          options.scheduling);
-            };
-            sink.count("qs_commuting.schedules_evaluated",
-                       static_cast<double>(valid.size()));
-            std::vector<CommutingSchedule> schedules;
-            util::ThreadPool* pool =
-                (ctx != nullptr && valid.size() >= 4) ? ctx->acquire()
-                                                      : nullptr;
-            if (pool != nullptr) {
-                sink.count("qs_commuting.pool_tasks",
-                           static_cast<double>(valid.size()));
-                schedules = pool->map(valid.size(), schedule_one);
-            } else {
-                sink.count("qs_commuting.serial_tasks",
-                           static_cast<double>(valid.size()));
-                schedules.reserve(valid.size());
-                for (std::size_t i = 0; i < valid.size(); ++i) {
-                    schedules.push_back(schedule_one(i));
-                }
-            }
+            tally->schedules_evaluated +=
+                static_cast<long long>(valid.size());
+            std::vector<CommutingSchedule> schedules =
+                fan_out.map(valid.size(), [&](std::size_t i) {
+                    return schedule_commuting(spec, pair_sets[i],
+                                              options.scheduling);
+                });
             // Min duration, ties to the lowest candidate index — the
             // same winner the serial strict-< walk picked.
             std::size_t best_index = 0;
@@ -420,25 +379,22 @@ run_commuting_sweep(const CommutingSpec& spec,
     return versions;
 }
 
-}  // namespace
-
-namespace {
-
-template <class Sink>
+/// Best-effort commuting run; see run_qs_caqr.
 QsCommutingResult
-qs_caqr_commuting_impl(const CommutingSpec& spec,
-                       const QsCommutingOptions& options, Sink& sink)
+run_qs_caqr_commuting(const CommutingSpec& spec,
+                      const QsCommutingOptions& options)
 {
+    std::optional<util::trace::Span> span;
+    if (options.trace) span.emplace("qs_caqr_commuting");
+
     QsCommutingResult result;
     result.coloring_bound = min_qubits_by_coloring(spec.interaction);
 
-    EvalContext ctx;
-    ctx.threads = util::ThreadPool::resolve_threads(options.num_threads);
-
+    CommutingTally tally;
     const auto eval_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/true, &ctx, sink);
+        spec, options, /*evaluate_candidates=*/true, &tally);
     const auto chain_sweep = run_commuting_sweep(
-        spec, options, /*evaluate_candidates=*/false, &ctx, sink);
+        spec, options, /*evaluate_candidates=*/false, &tally);
 
     // Budget-directed phase: the incremental sweeps dead-end once the
     // accumulated dependence graph makes every further pair cyclic;
@@ -462,7 +418,6 @@ qs_caqr_commuting_impl(const CommutingSpec& spec,
                                                  options.scheduling,
                                                  &pairs);
             if (!schedule.has_value()) break;  // infeasible below here
-            sink.count("qs_commuting.budget_schedules", 1.0);
             QsCommutingVersion version;
             version.pairs = std::move(pairs);
             version.schedule = std::move(*schedule);
@@ -491,23 +446,18 @@ qs_caqr_commuting_impl(const CommutingSpec& spec,
     result.reached_target =
         options.target_qubits < 0 ||
         result.versions.back().qubits <= options.target_qubits;
-    return result;
-}
 
-/// Best-effort commuting run; see run_qs_caqr.
-QsCommutingResult
-run_qs_caqr_commuting(const CommutingSpec& spec,
-                      const QsCommutingOptions& options)
-{
     if (options.trace && util::trace::enabled()) {
-        util::trace::Span span("qs_caqr_commuting");
-        util::trace::TallySink sink;
-        auto result = qs_caqr_commuting_impl(spec, options, sink);
-        sink.flush();
-        return result;
+        util::trace::counter_add("qs_commuting.candidates",
+                                 static_cast<double>(tally.candidates));
+        util::trace::counter_add(
+            "qs_commuting.schedules_evaluated",
+            static_cast<double>(tally.schedules_evaluated));
+        util::trace::counter_add(
+            "qs_commuting.budget_schedules",
+            static_cast<double>(budget_versions.size()));
     }
-    util::trace::NullSink sink;
-    return qs_caqr_commuting_impl(spec, options, sink);
+    return result;
 }
 
 }  // namespace

@@ -43,9 +43,8 @@ struct QsVersion
 
 /// QS-CaQR options for regular circuits. The search is serial: it
 /// prices every candidate in closed form, so it reads only the
-/// per-request trace opt-out from the embedded CommonOptions, not
-/// `num_threads` (ESP-based version selection, select_best_by_esp,
-/// still sizes its transpile pool from it).
+/// per-request trace opt-out from the embedded CommonOptions — not
+/// `num_threads`, `pool` or `seed`.
 struct QsCaqrOptions : CommonOptions
 {
     /// Stop once this many qubits is reached; -1 = squeeze to minimum.
@@ -76,8 +75,9 @@ util::StatusOr<QsCaqrResult> qs_caqr_or(const circuit::Circuit& circuit,
                                         const QsCaqrOptions& options = {});
 
 /// Options for the commuting-workload search. The embedded
-/// CommonOptions supply `num_threads` for candidate scheduling
-/// (results are bit-identical for any value) and the trace opt-out.
+/// CommonOptions supply `num_threads` and `pool` for candidate
+/// scheduling (results are bit-identical for any value) and the trace
+/// opt-out; the search reads no `seed`.
 struct QsCommutingOptions : CommonOptions
 {
     int target_qubits = -1;

@@ -278,10 +278,11 @@ SrCaqrResult sr_caqr_single(const Circuit& input,
                             const SrCaqrOptions& options);
 
 /// Full variant-trials run; the caller has already checked that the
-/// circuit fits the backend.
+/// circuit fits the backend. Variants race on @p fan_out, which a
+/// multi-level search shares across its runs.
 SrCaqrResult
 run_sr_caqr(const Circuit& input, const arch::Backend& backend,
-            const SrCaqrOptions& options)
+            const SrCaqrOptions& options, util::FanOut& fan_out)
 {
     std::optional<util::trace::Span> span;
     if (options.trace) span.emplace("sr_caqr");
@@ -326,11 +327,6 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
         double esp = 0.0;
     };
     auto run_variant = [&](std::size_t trial) {
-        // Rebind the owning request on this (possibly pool) thread so
-        // raced variants from concurrent requests keep their spans
-        // attributed to the right request.
-        util::trace::RequestScope request_scope(options.request_ctx,
-                                                options.capture);
         SrCaqrOptions variant = options;
         if (trial < static_cast<std::size_t>(kNumVariants)) {
             variant.lookahead_weight *= kVariants[trial].lookahead;
@@ -361,22 +357,8 @@ run_sr_caqr(const Circuit& input, const arch::Backend& backend,
         return out;
     };
 
-    const int threads =
-        util::ThreadPool::resolve_threads(options.num_threads);
-    std::vector<TrialResult> results;
-    if (trials == 1 || threads == 1) {
-        results.reserve(static_cast<std::size_t>(trials));
-        for (int trial = 0; trial < trials; ++trial) {
-            results.push_back(run_variant(static_cast<std::size_t>(trial)));
-        }
-    } else if (options.pool != nullptr && options.pool->size() > 0) {
-        results =
-            options.pool->map(static_cast<std::size_t>(trials), run_variant);
-    } else {
-        util::ThreadPool transient(std::min(threads, trials) - 1);
-        results =
-            transient.map(static_cast<std::size_t>(trials), run_variant);
-    }
+    std::vector<TrialResult> results =
+        fan_out.map(static_cast<std::size_t>(trials), run_variant);
 
     // Winner selection, in two index-ordered stages (map() returns
     // results in variant order, so both are thread-count-independent).
@@ -448,7 +430,8 @@ sr_caqr_or(const Circuit& logical, const arch::Backend& backend,
             " qubits but backend '" + backend.name() + "' has " +
             std::to_string(backend.num_qubits()));
     }
-    return run_sr_caqr(logical, backend, options);
+    util::FanOut fan_out(options);
+    return run_sr_caqr(logical, backend, options, fan_out);
 }
 
 namespace {
@@ -779,18 +762,16 @@ sr_caqr_commuting_or(const CommutingSpec& spec, const arch::Backend& backend,
     auto qs = qs_caqr_commuting_or(spec, qs_options);
     if (!qs.ok()) return qs.status();
 
-    // Probe every reuse level (the sweep is one version per count).
-    std::vector<std::size_t> probe(qs->versions.size());
-    for (std::size_t i = 0; i < probe.size(); ++i) probe[i] = i;
-
     // Steps 2-4: the materialized circuits carry the imposed reuse
     // dependencies; the regular engine applies delaying, error-aware
     // mapping, and reclamation on top of each.
     SrCaqrResult best_result;
     bool have_best = false;
-    for (std::size_t index : probe) {
-        auto result = run_sr_caqr(qs->versions[index].schedule.circuit,
-                                  backend, options);
+    // Every reuse level is probed (the sweep is one version per count).
+    util::FanOut fan_out(options);
+    for (const auto& version : qs->versions) {
+        auto result = run_sr_caqr(version.schedule.circuit, backend,
+                                  options, fan_out);
         const bool better =
             !have_best ||
             result.swaps_added < best_result.swaps_added ||

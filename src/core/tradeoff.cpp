@@ -12,12 +12,17 @@ namespace caqr::core {
 
 namespace {
 
+/// Maps @p circuit with the baseline transpiler, whose trials fan out
+/// on @p common's pool and thread budget.
 void
 fill_compiled_metrics(TradeoffPoint* point, const circuit::Circuit& circuit,
-                      const arch::Backend* backend, bool keep_rzz)
+                      const arch::Backend* backend, bool keep_rzz,
+                      const CommonOptions& common)
 {
     if (backend == nullptr) return;
     transpile::TranspileOptions options;
+    options.num_threads = common.num_threads;
+    options.pool = common.pool;
     options.keep_rzz = keep_rzz;
     auto compiled = transpile::transpile_or(circuit, *backend, options).value();
     point->compiled_depth = compiled.depth;
@@ -26,23 +31,18 @@ fill_compiled_metrics(TradeoffPoint* point, const circuit::Circuit& circuit,
 }
 
 /**
- * Evaluates fn(0..n-1) across an evaluation pool sized from
- * @p num_threads (1 = serial, 0/negative = one per hardware thread).
- * Results come back indexed by version, so downstream lowest-index
- * tie-breaks pick the same winner at any thread count. When tracing is
- * enabled the per-task wall clock is summed and published against the
- * batch wall clock as `tradeoff.parallel_speedup`.
+ * Evaluates fn(0..n-1) through @p fan_out. Results come back indexed
+ * by version, so downstream lowest-index tie-breaks pick the same
+ * winner at any thread count. When tracing is enabled the per-task
+ * wall clock is summed and published against the batch wall clock as
+ * `tradeoff.parallel_speedup`.
  */
 template <typename Fn>
 auto
-map_versions(std::size_t n, int num_threads, Fn&& fn)
+map_versions(std::size_t n, util::FanOut&& fan_out, Fn&& fn)
     -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
 {
-    const int threads = util::ThreadPool::resolve_threads(num_threads);
-    if (!util::trace::enabled()) {
-        util::ThreadPool pool(threads - 1);
-        return pool.map(n, fn);
-    }
+    if (!util::trace::enabled()) return fan_out.map(n, fn);
 
     std::vector<double> task_ms(n, 0.0);
     auto timed = [&](std::size_t i) {
@@ -54,8 +54,7 @@ map_versions(std::size_t n, int num_threads, Fn&& fn)
         return result;
     };
     const auto batch_start = std::chrono::steady_clock::now();
-    util::ThreadPool pool(threads - 1);
-    auto results = pool.map(n, timed);
+    auto results = fan_out.map(n, timed);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - batch_start)
@@ -86,7 +85,9 @@ explore_tradeoff(const circuit::Circuit& circuit,
     auto result = qs_caqr_or(circuit, sweep).value();
 
     return map_versions(
-        result.versions.size(), backend == nullptr ? 1 : options.num_threads,
+        result.versions.size(),
+        util::FanOut(backend == nullptr ? 1 : options.num_threads,
+                     options.pool),
         [&](std::size_t index) {
             const auto& version = result.versions[index];
             TradeoffPoint point;
@@ -94,14 +95,14 @@ explore_tradeoff(const circuit::Circuit& circuit,
             point.logical_depth = version.depth;
             point.logical_duration_dt = version.duration_dt;
             fill_compiled_metrics(&point, version.circuit, backend,
-                                  /*keep_rzz=*/false);
+                                  /*keep_rzz=*/false, options);
             return point;
         });
 }
 
 EspSelection
 select_best_by_esp(const QsCaqrResult& result, const arch::Backend& backend,
-                   int num_threads)
+                   const transpile::TranspileOptions& options)
 {
     util::trace::Span span("tradeoff.select_esp");
 
@@ -111,9 +112,10 @@ select_best_by_esp(const QsCaqrResult& result, const arch::Backend& backend,
         circuit::Circuit compiled;
     };
     auto scored = map_versions(
-        result.versions.size(), num_threads, [&](std::size_t index) {
+        result.versions.size(), util::FanOut(options),
+        [&](std::size_t index) {
             auto compiled = transpile::transpile_or(
-                result.versions[index].circuit, backend).value();
+                result.versions[index].circuit, backend, options).value();
             Scored entry;
             entry.esp = arch::estimated_success_probability(
                 compiled.circuit, backend);
@@ -148,7 +150,9 @@ explore_tradeoff_commuting(const CommutingSpec& spec,
     auto result = qs_caqr_commuting_or(spec, sweep).value();
 
     return map_versions(
-        result.versions.size(), backend == nullptr ? 1 : options.num_threads,
+        result.versions.size(),
+        util::FanOut(backend == nullptr ? 1 : options.num_threads,
+                     options.pool),
         [&](std::size_t index) {
             const auto& version = result.versions[index];
             TradeoffPoint point;
@@ -156,7 +160,7 @@ explore_tradeoff_commuting(const CommutingSpec& spec,
             point.logical_depth = version.schedule.depth;
             point.logical_duration_dt = version.schedule.duration_dt;
             fill_compiled_metrics(&point, version.schedule.circuit, backend,
-                                  /*keep_rzz=*/true);
+                                  /*keep_rzz=*/true, options);
             return point;
         });
 }

@@ -13,6 +13,7 @@
 #include "arch/backend.h"
 #include "circuit/circuit.h"
 #include "core/qs_caqr.h"
+#include "transpile/transpiler.h"
 
 namespace caqr::core {
 
@@ -31,7 +32,9 @@ struct TradeoffPoint
 /**
  * Sweeps QS-CaQR over a regular circuit from the original qubit count
  * to the minimum reachable. When @p backend is non-null every version
- * is also hardware-mapped with the baseline transpiler.
+ * is also hardware-mapped with the baseline transpiler; the versions
+ * and their routing trials fan out on @p options' pool and thread
+ * budget.
  */
 std::vector<TradeoffPoint> explore_tradeoff(
     const circuit::Circuit& circuit, const arch::Backend* backend,
@@ -52,13 +55,14 @@ struct EspSelection
     circuit::Circuit compiled;      ///< its hardware-mapped circuit
 };
 
-/// Hardware-maps every version of @p result on @p backend — across
-/// @p num_threads evaluation threads (1 = serial, 0/negative = one per
-/// hardware thread; the winner is identical at any count) — and
-/// returns the one maximizing estimated success probability.
-EspSelection select_best_by_esp(const QsCaqrResult& result,
-                                const arch::Backend& backend,
-                                int num_threads = 0);
+/// Hardware-maps every version of @p result on @p backend with
+/// @p options — the versions fan out on its pool and thread budget,
+/// and each version's routing trials share them (the winner is
+/// identical at any count) — and returns the one maximizing estimated
+/// success probability.
+EspSelection select_best_by_esp(
+    const QsCaqrResult& result, const arch::Backend& backend,
+    const transpile::TranspileOptions& options = {});
 
 }  // namespace caqr::core
 

@@ -44,20 +44,9 @@ opt(const std::string& key, bool value)
     return key + (value ? "=1" : "=0");
 }
 
-void
-append_common(std::vector<std::string>& lines, const std::string& prefix,
-              const CommonOptions& common)
-{
-    // num_threads and trace are execution knobs with a bit-identical
-    // result guarantee; only the heuristic seed reaches the output.
-    lines.push_back(opt(prefix + ".seed",
-                        static_cast<long long>(common.seed)));
-}
-
-/// Serializes the request's input as content, not identity: file
-/// inputs are read, circuits printed, commuting specs flattened.
-util::StatusOr<std::string>
-input_content(const CompileRequest& request)
+/// Checks that @p request names exactly one input.
+util::Status
+check_single_input(const CompileRequest& request)
 {
     const int provided = (request.circuit.has_value() ? 1 : 0) +
                          (request.qasm.empty() ? 0 : 1) +
@@ -66,6 +55,52 @@ input_content(const CompileRequest& request)
     if (provided != 1) {
         return util::Status::invalid_argument(
             "request has no single input to address");
+    }
+    return {};
+}
+
+/// The QASM text of a textual input: the inline source or the file's
+/// bytes.
+util::StatusOr<std::string>
+qasm_text(const CompileRequest& request)
+{
+    if (!request.qasm.empty()) return request.qasm;
+    std::ifstream in(request.qasm_file, std::ios::binary);
+    if (!in) {
+        return util::Status::not_found("cannot read '" +
+                                       request.qasm_file + "'");
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    if (in.bad()) {
+        return util::Status::io_error("error reading '" +
+                                      request.qasm_file + "'");
+    }
+    return buffer.str();
+}
+
+/// Writes the interaction graph's edges by identity, not insertion
+/// order: the same graph assembled in a different order hashes equal.
+void
+write_sorted_edges(std::ostream& os, const core::CommutingSpec& spec)
+{
+    std::vector<std::pair<int, int>> edges = spec.interaction.edges();
+    for (auto& [u, v] : edges) {
+        if (u > v) std::swap(u, v);
+    }
+    std::sort(edges.begin(), edges.end());
+    for (const auto& [u, v] : edges) {
+        os << "edge " << u << ' ' << v << '\n';
+    }
+}
+
+/// Serializes the request's input as content, not identity: file
+/// inputs are read, circuits printed, commuting specs flattened.
+util::StatusOr<std::string>
+input_content(const CompileRequest& request)
+{
+    if (auto status = check_single_input(request); !status.ok()) {
+        return status;
     }
     if (request.commuting.has_value()) {
         const auto& spec = *request.commuting;
@@ -81,36 +116,13 @@ input_content(const CompileRequest& request)
         for (double beta : spec.betas) {
             os << "beta_layer=" << fmt_double(beta) << '\n';
         }
-        // Edge identity, not insertion order: the same interaction
-        // graph assembled in a different order must hash equal.
-        std::vector<std::pair<int, int>> edges = spec.interaction.edges();
-        for (auto& [u, v] : edges) {
-            if (u > v) std::swap(u, v);
-        }
-        std::sort(edges.begin(), edges.end());
-        for (const auto& [u, v] : edges) {
-            os << "edge " << u << ' ' << v << '\n';
-        }
+        write_sorted_edges(os, spec);
         return os.str();
     }
     if (request.circuit.has_value()) {
         return qasm::to_qasm(*request.circuit);
     }
-    if (!request.qasm.empty()) {
-        return request.qasm;
-    }
-    std::ifstream in(request.qasm_file, std::ios::binary);
-    if (!in) {
-        return util::Status::not_found("cannot read '" +
-                                       request.qasm_file + "'");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        return util::Status::io_error("error reading '" +
-                                      request.qasm_file + "'");
-    }
-    return buffer.str();
+    return qasm_text(request);
 }
 
 /// Serializes the request's input by structure, masking bound values:
@@ -118,13 +130,8 @@ input_content(const CompileRequest& request)
 util::StatusOr<std::string>
 input_skeleton(const CompileRequest& request)
 {
-    const int provided = (request.circuit.has_value() ? 1 : 0) +
-                         (request.qasm.empty() ? 0 : 1) +
-                         (request.qasm_file.empty() ? 0 : 1) +
-                         (request.commuting.has_value() ? 1 : 0);
-    if (provided != 1) {
-        return util::Status::invalid_argument(
-            "request has no single input to address");
+    if (auto status = check_single_input(request); !status.ok()) {
+        return status;
     }
     if (request.commuting.has_value()) {
         const auto& spec = *request.commuting;
@@ -133,14 +140,7 @@ input_skeleton(const CompileRequest& request)
         // and the layer count.
         os << "commuting nodes=" << spec.interaction.num_nodes()
            << " layers=" << spec.layers << '\n';
-        std::vector<std::pair<int, int>> edges = spec.interaction.edges();
-        for (auto& [u, v] : edges) {
-            if (u > v) std::swap(u, v);
-        }
-        std::sort(edges.begin(), edges.end());
-        for (const auto& [u, v] : edges) {
-            os << "edge " << u << ' ' << v << '\n';
-        }
+        write_sorted_edges(os, spec);
         return os.str();
     }
     if (request.circuit.has_value()) {
@@ -148,29 +148,30 @@ input_skeleton(const CompileRequest& request)
     }
     // Textual inputs are parsed so named parameters mask out — the raw
     // bytes differ per bound value, the template print does not.
-    std::string source;
-    if (!request.qasm.empty()) {
-        source = request.qasm;
-    } else if (!request.qasm_file.empty()) {
-        std::ifstream in(request.qasm_file, std::ios::binary);
-        if (!in) {
-            return util::Status::not_found("cannot read '" +
-                                           request.qasm_file + "'");
-        }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        if (in.bad()) {
-            return util::Status::io_error("error reading '" +
-                                          request.qasm_file + "'");
-        }
-        source = buffer.str();
-    } else {
-        return util::Status::invalid_argument(
-            "request has no single input to address");
-    }
-    auto parsed = qasm::parse_circuit(source);
+    auto source = qasm_text(request);
+    if (!source.ok()) return source.status();
+    auto parsed = qasm::parse_circuit(*source);
     if (!parsed.ok()) return parsed.status();
     return qasm::to_qasm_template(*parsed);
+}
+
+/// The QS commuting search's result-affecting options. Its seed is
+/// not among them: the search reads none. `num_threads` and `trace`
+/// are execution knobs with a bit-identical result guarantee.
+void
+append_qs_commuting(std::vector<std::string>& lines,
+                    const core::QsCommutingOptions& qsc)
+{
+    lines.push_back(opt("qsc.target_qubits",
+                        static_cast<long long>(qsc.target_qubits)));
+    lines.push_back(opt("qsc.max_candidates",
+                        static_cast<long long>(qsc.max_candidates)));
+    lines.push_back(opt(
+        "qsc.exact_matching_limit",
+        static_cast<long long>(qsc.scheduling.exact_matching_limit)));
+    lines.push_back(opt(
+        "qsc.reuse_priority_weight",
+        static_cast<long long>(qsc.scheduling.reuse_priority_weight)));
 }
 
 /// The result-affecting option lines shared by `request_cache_key` and
@@ -214,7 +215,7 @@ request_option_lines(const CompileRequest& request)
       case Strategy::kBaseline:
         break;
       case Strategy::kQsCaqr:
-        append_common(lines, "qs", request.qs);
+        // QS-CaQR reads no seed, so `qs.seed` would only split entries.
         lines.push_back(opt("qs.target_qubits",
                             static_cast<long long>(
                                 request.qs.target_qubits)));
@@ -225,24 +226,16 @@ request_option_lines(const CompileRequest& request)
                             : "duration")));
         break;
       case Strategy::kQsCommuting:
-        append_common(lines, "qsc", request.qs_commuting);
-        lines.push_back(opt("qsc.target_qubits",
-                            static_cast<long long>(
-                                request.qs_commuting.target_qubits)));
-        lines.push_back(opt("qsc.max_candidates",
-                            static_cast<long long>(
-                                request.qs_commuting.max_candidates)));
-        lines.push_back(opt(
-            "qsc.exact_matching_limit",
-            static_cast<long long>(
-                request.qs_commuting.scheduling.exact_matching_limit)));
-        lines.push_back(opt(
-            "qsc.reuse_priority_weight",
-            static_cast<long long>(
-                request.qs_commuting.scheduling.reuse_priority_weight)));
+        append_qs_commuting(lines, request.qs_commuting);
         break;
       case Strategy::kSrCaqr:
-        append_common(lines, "sr", request.sr);
+        // A commuting workload runs the QS commuting search first and
+        // SR-CaQR over each of its levels.
+        if (request.commuting.has_value()) {
+            append_qs_commuting(lines, request.qs_commuting);
+        }
+        lines.push_back(opt("sr.seed",
+                            static_cast<long long>(request.sr.seed)));
         lines.push_back(opt("sr.error_aware", request.sr.error_aware));
         lines.push_back(opt("sr.lookahead_weight",
                             request.sr.lookahead_weight));
@@ -262,7 +255,8 @@ request_option_lines(const CompileRequest& request)
     }
     if (request.strategy != Strategy::kSrCaqr && request.map_to_backend) {
         const auto& tr = request.transpile;
-        append_common(lines, "transpile", tr);
+        lines.push_back(opt("transpile.seed",
+                            static_cast<long long>(tr.seed)));
         lines.push_back(opt("transpile.keep_rzz", tr.keep_rzz));
         lines.push_back(opt("transpile.trials",
                             static_cast<long long>(tr.trials)));
@@ -321,158 +315,6 @@ template_cache_key(const CompileRequest& request)
     return "caqr-template-v1\n" +
            canonicalize_option_lines(request_option_lines(request)) +
            "---skeleton---\n" + *skeleton;
-}
-
-CompileCache::CompileCache(std::size_t capacity,
-                           util::metrics::Registry* registry)
-    : capacity_(capacity), registry_(registry) {}
-
-std::optional<CompileReport>
-CompileCache::get(const std::string& key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++misses_;
-        if (registry_ != nullptr) registry_->add("service.cache.miss", 1.0);
-        return std::nullopt;
-    }
-    ++hits_;
-    if (registry_ != nullptr) registry_->add("service.cache.hit", 1.0);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-}
-
-void
-CompileCache::put(const std::string& key, const CompileReport& report)
-{
-    if (capacity_ == 0) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-        // A concurrent miss on the same key compiled twice; results
-        // are deterministic, so refreshing recency is all that's left.
-        it->second->second = report;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return;
-    }
-    lru_.emplace_front(key, report);
-    index_.emplace(key, lru_.begin());
-    while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-        if (registry_ != nullptr) {
-            registry_->add("service.cache.evict", 1.0);
-        }
-    }
-}
-
-CompileCacheStats
-CompileCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    CompileCacheStats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.evictions = evictions_;
-    stats.size = lru_.size();
-    stats.capacity = capacity_;
-    return stats;
-}
-
-void
-CompileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-}
-
-TemplateCache::TemplateCache(std::size_t capacity,
-                             util::metrics::Registry* registry)
-    : capacity_(capacity), registry_(registry) {}
-
-std::shared_ptr<const CompiledTemplate>
-TemplateCache::get(const std::string& key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++misses_;
-        if (registry_ != nullptr) {
-            registry_->add("service.template.miss", 1.0);
-        }
-        return nullptr;
-    }
-    ++hits_;
-    if (registry_ != nullptr) registry_->add("service.template.hit", 1.0);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-}
-
-std::vector<std::shared_ptr<const CompiledTemplate>>
-TemplateCache::put(const std::string& key,
-                   std::shared_ptr<const CompiledTemplate> entry)
-{
-    std::vector<std::shared_ptr<const CompiledTemplate>> evicted;
-    if (capacity_ == 0) {
-        // Nothing is stored, so the entry itself is "evicted" — the
-        // caller must not hand out a handle that can never resolve.
-        evicted.push_back(std::move(entry));
-        return evicted;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-        // Two concurrent misses compiled the same skeleton. Results
-        // are deterministic, so either copy serves; keeping the newer
-        // one lets the caller uniformly register its handle and retire
-        // whatever comes back.
-        evicted.push_back(std::move(it->second->second));
-        it->second->second = std::move(entry);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return evicted;
-    }
-    lru_.emplace_front(key, std::move(entry));
-    index_.emplace(key, lru_.begin());
-    while (lru_.size() > capacity_) {
-        evicted.push_back(std::move(lru_.back().second));
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-        if (registry_ != nullptr) {
-            registry_->add("service.template.evict", 1.0);
-        }
-    }
-    return evicted;
-}
-
-TemplateCacheStats
-TemplateCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    TemplateCacheStats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.evictions = evictions_;
-    stats.size = lru_.size();
-    stats.capacity = capacity_;
-    return stats;
-}
-
-std::vector<std::shared_ptr<const CompiledTemplate>>
-TemplateCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::shared_ptr<const CompiledTemplate>> evicted;
-    evicted.reserve(lru_.size());
-    for (auto& [key, entry] : lru_) {
-        evicted.push_back(std::move(entry));
-    }
-    lru_.clear();
-    index_.clear();
-    return evicted;
 }
 
 }  // namespace caqr

@@ -19,10 +19,14 @@
  *    (`canonicalize_option_lines`), so the order in which a caller
  *    populated them can never split the cache.
  *  - Execution knobs that provably do not change the result —
- *    `num_threads` (bit-identical guarantee), `trace`, the request
- *    `name`, the metrics `tenant` tag — are excluded.
+ *    `num_threads` and `pool` (bit-identical guarantee), `trace`, the
+ *    QS passes' `seed` (neither reads it), the request `name`, the
+ *    metrics `tenant` tag — are excluded.
+ *  - Every option struct the strategy consults is keyed: SR-CaQR on a
+ *    commuting workload also keys the `qs_commuting` options its QS
+ *    phase runs with.
  *
- * Thread-safety: all `CompileCache` methods are safe to call from any
+ * Thread-safety: all `LruCache` methods are safe to call from any
  * thread. Hit/miss/evict counts are mirrored into a
  * `util::metrics::Registry` as `service.cache.hit` /
  * `service.cache.miss` / `service.cache.evict` when one is attached.
@@ -82,7 +86,7 @@ util::StatusOr<std::string> template_cache_key(
     const CompileRequest& request);
 
 /// Lifetime counters of one cache instance.
-struct CompileCacheStats
+struct CacheStats
 {
     std::size_t hits = 0;
     std::size_t misses = 0;
@@ -92,104 +96,136 @@ struct CompileCacheStats
 };
 
 /**
- * Bounded LRU map cache key -> CompileReport. `get` refreshes
+ * Bounded, thread-safe LRU map string key -> @p Value. `get` refreshes
  * recency; `put` evicts the least-recently-used entry once the
- * capacity is exceeded. Only successful reports should be inserted —
- * failures are cheap to recompute and must not shadow a fixed input.
+ * capacity is exceeded. Hit/miss/evict counts are mirrored into the
+ * attached registry as `<metric_prefix>.{hit,miss,evict}`.
+ *
+ * Two instances back the service:
+ *  - `CompileCache` (`service.cache.*`): request key -> finished
+ *    `CompileReport`. Only successful reports should be inserted —
+ *    failures are cheap to recompute and must not shadow a fixed
+ *    input.
+ *  - `TemplateCache` (`service.template.*`): skeleton fingerprint ->
+ *    immutable `CompiledTemplate`, so hot templates survive across
+ *    bind sessions. Eviction drops the cache's reference while
+ *    in-flight binds keep theirs, and the displaced templates `put`
+ *    returns let the owning `Service` retire their handle ids.
  */
-class CompileCache
+template <typename Value>
+class LruCache
 {
   public:
-    /// @p registry (optional) receives `service.cache.{hit,miss,evict}`
-    /// counter increments; it must outlive the cache.
-    explicit CompileCache(std::size_t capacity,
-                          util::metrics::Registry* registry = nullptr);
+    /// @p registry (optional) must outlive the cache.
+    explicit LruCache(std::size_t capacity,
+                      util::metrics::Registry* registry = nullptr,
+                      std::string metric_prefix = "service.cache")
+        : capacity_(capacity),
+          registry_(registry),
+          metric_prefix_(std::move(metric_prefix))
+    {
+    }
 
-    /// The cached report for @p key, refreshing its recency — or
+    /// The cached value for @p key, refreshing its recency — or
     /// nullopt (counted as a miss).
-    std::optional<CompileReport> get(const std::string& key);
+    std::optional<Value>
+    get(const std::string& key)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key);
+        if (it == index_.end()) {
+            ++misses_;
+            count("miss");
+            return std::nullopt;
+        }
+        ++hits_;
+        count("hit");
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return it->second->second;
+    }
 
-    /// Inserts (or refreshes) @p report under @p key, evicting the LRU
-    /// entry when over capacity. A zero-capacity cache stores nothing.
-    void put(const std::string& key, const CompileReport& report);
+    /**
+     * Inserts (or replaces) @p value under @p key and returns every
+     * value it displaced: the replaced one, the LRU entries evicted to
+     * stay within capacity, or @p value itself when a zero-capacity
+     * cache stores nothing. Concurrent misses on one key compile
+     * deterministic results, so replacing keeps the newer copy.
+     */
+    std::vector<Value>
+    put(const std::string& key, Value value)
+    {
+        std::vector<Value> displaced;
+        if (capacity_ == 0) {
+            displaced.push_back(std::move(value));
+            return displaced;
+        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key);
+        if (it != index_.end()) {
+            displaced.push_back(std::move(it->second->second));
+            it->second->second = std::move(value);
+            lru_.splice(lru_.begin(), lru_, it->second);
+            return displaced;
+        }
+        lru_.emplace_front(key, std::move(value));
+        index_.emplace(key, lru_.begin());
+        while (lru_.size() > capacity_) {
+            displaced.push_back(std::move(lru_.back().second));
+            index_.erase(lru_.back().first);
+            lru_.pop_back();
+            ++evictions_;
+            count("evict");
+        }
+        return displaced;
+    }
 
-    CompileCacheStats stats() const;
+    CacheStats
+    stats() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return CacheStats{hits_, misses_, evictions_, lru_.size(),
+                          capacity_};
+    }
 
-    /// Drops every entry (counters are lifetime and survive).
-    void clear();
+    /// Drops every entry and returns the values (counters are lifetime
+    /// and survive).
+    std::vector<Value>
+    clear()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::vector<Value> dropped;
+        dropped.reserve(lru_.size());
+        for (auto& entry : lru_) dropped.push_back(std::move(entry.second));
+        lru_.clear();
+        index_.clear();
+        return dropped;
+    }
 
   private:
-    using Entry = std::pair<std::string, CompileReport>;
+    using Entry = std::pair<std::string, Value>;
+
+    void
+    count(const char* event)
+    {
+        if (registry_ != nullptr) {
+            registry_->add(metric_prefix_ + "." + event, 1.0);
+        }
+    }
 
     mutable std::mutex mutex_;
-    std::size_t capacity_;
-    util::metrics::Registry* registry_;
+    const std::size_t capacity_;
+    util::metrics::Registry* const registry_;
+    const std::string metric_prefix_;
     std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+    std::unordered_map<std::string, typename std::list<Entry>::iterator>
+        index_;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
     std::size_t evictions_ = 0;
 };
 
-/// Lifetime counters of one template cache instance.
-struct TemplateCacheStats
-{
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-    std::size_t size = 0;      ///< current entry count
-    std::size_t capacity = 0;  ///< configured bound
-};
-
-/**
- * Second LRU tier, keyed by skeleton fingerprint: skeleton ->
- * immutable `CompiledTemplate`. Hot templates survive across bind
- * sessions — any request with the same structure re-acquires the
- * frozen schedule without re-running reuse analysis or routing.
- *
- * Entries are `shared_ptr<const CompiledTemplate>`: eviction drops the
- * cache's reference while in-flight binds keep theirs, so a bind racing
- * an eviction completes safely. `put` returns the evicted templates so
- * the owning `Service` can retire their handle-id mappings.
- *
- * Thread-safe; mirrors `service.template.{hit,miss,evict}` into the
- * attached registry.
- */
-class TemplateCache
-{
-  public:
-    explicit TemplateCache(std::size_t capacity,
-                           util::metrics::Registry* registry = nullptr);
-
-    /// The cached template for @p key, refreshing recency — or null
-    /// (counted as a miss).
-    std::shared_ptr<const CompiledTemplate> get(const std::string& key);
-
-    /// Inserts (or refreshes) @p entry under @p key. Returns the
-    /// templates evicted to stay within capacity (empty for capacity
-    /// 0 inserts, which store nothing and return @p entry itself).
-    std::vector<std::shared_ptr<const CompiledTemplate>> put(
-        const std::string& key,
-        std::shared_ptr<const CompiledTemplate> entry);
-
-    TemplateCacheStats stats() const;
-
-    /// Drops every entry and returns them (counters survive).
-    std::vector<std::shared_ptr<const CompiledTemplate>> clear();
-
-  private:
-    using Entry =
-        std::pair<std::string, std::shared_ptr<const CompiledTemplate>>;
-
-    mutable std::mutex mutex_;
-    std::size_t capacity_;
-    util::metrics::Registry* registry_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t evictions_ = 0;
-};
+using CompileCache = LruCache<CompileReport>;
+using TemplateCache = LruCache<std::shared_ptr<const CompiledTemplate>>;
 
 }  // namespace caqr
 

@@ -243,23 +243,22 @@ Service::Service(ServiceOptions options)
     }
     if (options_.template_cache_capacity > 0) {
         template_cache_ = std::make_unique<TemplateCache>(
-            options_.template_cache_capacity, &metrics_);
+            options_.template_cache_capacity, &metrics_, "service.template");
     }
 }
 
 Service::~Service() = default;
 
-CompileCacheStats
+CacheStats
 Service::compile_cache_stats() const
 {
-    return cache_ ? cache_->stats() : CompileCacheStats{};
+    return cache_ ? cache_->stats() : CacheStats{};
 }
 
-TemplateCacheStats
+CacheStats
 Service::template_cache_stats() const
 {
-    return template_cache_ ? template_cache_->stats()
-                           : TemplateCacheStats{};
+    return template_cache_ ? template_cache_->stats() : CacheStats{};
 }
 
 util::StatusOr<std::shared_ptr<const arch::Backend>>
@@ -293,8 +292,8 @@ CompileReport
 Service::compile(const CompileRequest& request)
 {
     // Per-request identity: every span recorded while this compile
-    // runs — including raced routing trials on pool workers, which
-    // rebind the scope from their options — is tagged with this id,
+    // runs — including every fan-out task on pool workers, which
+    // util::FanOut rebinds to this scope — is tagged with this id,
     // and (when slow capture is configured) mirrored into a private
     // capture so a slow or failed request can be flushed as a
     // standalone trace artifact.
@@ -483,24 +482,21 @@ Service::compile_uncached(const CompileRequest& request,
         });
     }
 
-    // Raced routing/variant trials borrow the service pool instead of
-    // spinning up transient workers per request. The pool is never
-    // part of a cache key and trial winners are bit-identical with or
-    // without it, so this only changes wall time.
+    // Every parallel section of the request (raced routing/variant
+    // trials, commuting candidate schedules, ESP version selection)
+    // borrows the service pool instead of spinning up transient
+    // workers; util::FanOut carries this thread's request binding onto
+    // the workers. The pool is never part of a cache key and results
+    // are bit-identical with or without it, so this only changes wall
+    // time.
+    core::QsCaqrOptions qs_options = request.qs;
+    core::QsCommutingOptions qs_commuting_options = request.qs_commuting;
     core::SrCaqrOptions sr_options = request.sr;
     transpile::TranspileOptions transpile_options = request.transpile;
-    if (pool_.size() > 0) {
-        sr_options.pool = &pool_;
-        transpile_options.pool = &pool_;
-    }
-    // Hand the current request binding to the raced-trial passes: the
-    // fan-out lambdas re-establish it on their worker thread, so trial
-    // spans land in the owning request's capture even when trials from
-    // different requests share the pool.
-    sr_options.request_ctx = util::trace::current_request();
-    sr_options.capture = util::trace::current_capture();
-    transpile_options.request_ctx = sr_options.request_ctx;
-    transpile_options.capture = sr_options.capture;
+    qs_options.pool = &pool_;
+    qs_commuting_options.pool = &pool_;
+    sr_options.pool = &pool_;
+    transpile_options.pool = &pool_;
 
     // Reuse pass (strategy dispatch). `reuse_level` is the logical
     // circuit the mapping and simulation stages consume; kSrCaqr maps
@@ -527,12 +523,14 @@ Service::compile_uncached(const CompileRequest& request,
                 return util::Status::invalid_argument(
                     "select_by_esp needs map_to_backend");
             }
-            auto result = core::qs_caqr_or(input, request.qs);
+            auto result = core::qs_caqr_or(input, qs_options);
             if (!result.ok()) return result.status();
             std::size_t index = result->versions.size() - 1;
             if (request.select_by_esp) {
+                // Versions are ranked under the same mapping options as
+                // the final map stage.
                 const auto selection = core::select_best_by_esp(
-                    *result, *backend, request.qs.num_threads);
+                    *result, *backend, transpile_options);
                 index = selection.version_index;
             }
             const auto& version = result->versions[index];
@@ -547,7 +545,7 @@ Service::compile_uncached(const CompileRequest& request,
       case Strategy::kQsCommuting:
         run_stage("qs_commuting", [&]() -> util::Status {
             auto result = core::qs_caqr_commuting_or(
-                *request.commuting, request.qs_commuting);
+                *request.commuting, qs_commuting_options);
             if (!result.ok()) return result.status();
             const auto& version = result->versions.back();
             reuse_level = version.schedule.circuit;
@@ -564,7 +562,7 @@ Service::compile_uncached(const CompileRequest& request,
                 request.commuting.has_value()
                     ? core::sr_caqr_commuting_or(*request.commuting,
                                                  *backend, sr_options,
-                                                 request.qs_commuting)
+                                                 qs_commuting_options)
                     : core::sr_caqr_or(input, *backend, sr_options);
             if (!result.ok()) return result.status();
             report.compiled = std::move(result->circuit);
@@ -651,7 +649,7 @@ Service::compile_template(const CompileRequest& request)
     // Binds only take template_mutex_, so they never wait on this.
     std::lock_guard<std::mutex> admission(template_admission_mutex_);
     if (auto resident = template_cache_->get(*key)) {
-        return TemplateHandle{resident->id};
+        return TemplateHandle{(*resident)->id};
     }
 
     CompileRequest once = shaped;

@@ -282,10 +282,9 @@ struct ServiceOptions
  * Long-lived compilation driver. Thread-safe: `compile` may be called
  * from any thread, and `compile_batch` fans out over the owned pool.
  */
-class CompileCache;
-struct CompileCacheStats;
-class TemplateCache;
-struct TemplateCacheStats;
+template <typename Value>
+class LruCache;
+struct CacheStats;
 struct TemplateCapture;
 
 class Service
@@ -347,7 +346,7 @@ class Service
     util::metrics::Registry& metrics() { return metrics_; }
 
     /// Lifetime compile-cache counters; zeros when caching is off.
-    CompileCacheStats compile_cache_stats() const;
+    CacheStats compile_cache_stats() const;
 
     /**
      * Compile-once half of the template → bind model. Runs the full
@@ -385,7 +384,7 @@ class Service
         TemplateHandle handle) const;
 
     /// Lifetime template-cache counters; zeros when templates are off.
-    TemplateCacheStats template_cache_stats() const;
+    CacheStats template_cache_stats() const;
 
   private:
     CompileReport compile_uncached(const CompileRequest& request,
@@ -404,13 +403,15 @@ class Service
     std::atomic<std::size_t> hits_{0};
     std::atomic<std::size_t> misses_{0};
     util::metrics::Registry metrics_;
-    std::unique_ptr<CompileCache> cache_;  ///< null = caching disabled
+    /// Request-keyed report LRU (null = caching disabled).
+    std::unique_ptr<LruCache<CompileReport>> cache_;
 
     /// Skeleton-keyed LRU (null = templates disabled). Misses are
     /// admitted under `template_admission_mutex_` so one skeleton never
     /// compiles twice concurrently; `template_mutex_` guards only the
     /// id map, so binds never wait on a template compilation.
-    std::unique_ptr<TemplateCache> template_cache_;
+    std::unique_ptr<LruCache<std::shared_ptr<const CompiledTemplate>>>
+        template_cache_;
     mutable std::mutex template_admission_mutex_;
     mutable std::mutex template_mutex_;
     std::unordered_map<std::uint64_t,

@@ -357,17 +357,27 @@ simulate(const circuit::Circuit& raw_circuit, const SimOptions& options,
         }
     };
 
+    // Shot ranges fan out in chunks; every chunk returns a partial
+    // histogram, merged below in chunk order.
     const std::size_t shots = options.shots;
-    const int threads = static_cast<int>(std::min<std::size_t>(
-        std::max<std::size_t>(shots, 1),
-        static_cast<std::size_t>(
-            util::ThreadPool::resolve_threads(options.num_threads))));
-    const std::size_t chunks = std::min<std::size_t>(
-        shots, static_cast<std::size_t>(threads) * 4);
+    const int threads =
+        util::ThreadPool::resolve_threads(options.num_threads);
+    const std::size_t chunks =
+        threads <= 1 || shots <= 1
+            ? 1
+            : std::min<std::size_t>(shots,
+                                    static_cast<std::size_t>(threads) * 4);
+    auto map_chunks = [&](auto&& run_range) {
+        return util::FanOut(threads, nullptr)
+            .map(chunks, [&](std::size_t chunk) {
+                return run_range(shots * chunk / chunks,
+                                 shots * (chunk + 1) / chunks);
+            });
+    };
     Counts counts;
     if (num_clbits <= kDenseKeyBits) {
         using Histogram = std::vector<std::uint64_t>;
-        auto run_range = [&](std::size_t lo, std::size_t hi) {
+        const auto partials = map_chunks([&](std::size_t lo, std::size_t hi) {
             Histogram hist(std::size_t{1} << num_clbits, 0);
             run_shots(lo, hi, [&](const std::vector<int>& clbits) {
                 std::size_t idx = 0;
@@ -377,33 +387,19 @@ simulate(const circuit::Circuit& raw_circuit, const SimOptions& options,
                 ++hist[idx];
             });
             return hist;
-        };
-        Histogram hist;
-        if (threads <= 1) {
-            hist = run_range(0, shots);
-        } else {
-            util::ThreadPool pool(threads - 1);  // caller participates
-            auto partials = pool.map(chunks, [&](std::size_t chunk) {
-                return run_range(shots * chunk / chunks,
-                                 shots * (chunk + 1) / chunks);
-            });
-            hist.assign(std::size_t{1} << num_clbits, 0);
-            for (const auto& partial : partials) {
-                for (std::size_t i = 0; i < hist.size(); ++i) {
-                    hist[i] += partial[i];
-                }
-            }
-        }
+        });
         std::string key(num_clbits, '0');
-        for (std::size_t idx = 0; idx < hist.size(); ++idx) {
-            if (hist[idx] == 0) continue;
+        for (std::size_t idx = 0; idx < partials.front().size(); ++idx) {
+            std::uint64_t total = 0;
+            for (const auto& partial : partials) total += partial[idx];
+            if (total == 0) continue;
             for (std::size_t i = 0; i < num_clbits; ++i) {
                 key[i] = (idx >> i) & 1 ? '1' : '0';
             }
-            counts[key] = hist[idx];
+            counts[key] = total;
         }
     } else {
-        auto run_range = [&](std::size_t lo, std::size_t hi) {
+        const auto partials = map_chunks([&](std::size_t lo, std::size_t hi) {
             Counts local;
             std::string key(num_clbits, '0');
             run_shots(lo, hi, [&](const std::vector<int>& clbits) {
@@ -413,18 +409,9 @@ simulate(const circuit::Circuit& raw_circuit, const SimOptions& options,
                 ++local[key];
             });
             return local;
-        };
-        if (threads <= 1) {
-            counts = run_range(0, shots);
-        } else {
-            util::ThreadPool pool(threads - 1);  // caller participates
-            auto partials = pool.map(chunks, [&](std::size_t chunk) {
-                return run_range(shots * chunk / chunks,
-                                 shots * (chunk + 1) / chunks);
-            });
-            for (auto& partial : partials) {
-                for (auto& [bits, count] : partial) counts[bits] += count;
-            }
+        });
+        for (const auto& partial : partials) {
+            for (const auto& [bits, count] : partial) counts[bits] += count;
         }
     }
 

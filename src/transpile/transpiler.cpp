@@ -138,11 +138,6 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
     std::atomic<int> incumbent{std::numeric_limits<int>::max()};
 
     auto run_trial = [&](std::size_t index) {
-        // Rebind the owning request on this (possibly pool) thread so
-        // raced trials from concurrent requests keep their spans
-        // attributed to the right request.
-        util::trace::RequestScope request_scope(options.request_ctx,
-                                                options.capture);
         TrialOutcome outcome;
         RouterScratch scratch;
         auto routed = route_or(
@@ -171,21 +166,8 @@ run_transpile(const circuit::Circuit& logical, const arch::Backend& backend,
         return outcome;
     };
 
-    const int threads = util::ThreadPool::resolve_threads(options.num_threads);
-    std::vector<TrialOutcome> outcomes;
-    if (trials == 1 || threads == 1) {
-        outcomes.reserve(static_cast<std::size_t>(trials));
-        for (int trial = 0; trial < trials; ++trial) {
-            outcomes.push_back(run_trial(static_cast<std::size_t>(trial)));
-        }
-    } else if (options.pool != nullptr && options.pool->size() > 0) {
-        outcomes =
-            options.pool->map(static_cast<std::size_t>(trials), run_trial);
-    } else {
-        util::ThreadPool transient(std::min(threads, trials) - 1);
-        outcomes =
-            transient.map(static_cast<std::size_t>(trials), run_trial);
-    }
+    std::vector<TrialOutcome> outcomes = util::FanOut(options).map(
+        static_cast<std::size_t>(trials), run_trial);
 
     int pruned_trials = 0;
     long long trial_swaps_total = 0;

@@ -18,11 +18,6 @@ namespace caqr::util {
 class ThreadPool;
 }  // namespace caqr::util
 
-namespace caqr::util::trace {
-struct RequestContext;
-class RequestCapture;
-}  // namespace caqr::util::trace
-
 namespace caqr {
 
 /// Knobs common to all passes; embedded as a base by each pass's
@@ -39,23 +34,13 @@ struct CommonOptions
     /// When false, the pass records nothing into `util::trace` even if
     /// tracing is globally enabled (per-request observability opt-out).
     bool trace = true;
-    /// Borrowed worker pool for the pass's parallel sections (raced
-    /// routing/variant trials). Null = the pass spawns a transient
-    /// pool sized by `num_threads` when it needs one. The service sets
-    /// this to its long-lived pool so trials share workers with batch
-    /// fan-out. Never part of cache keys; results are bit-identical
-    /// with or without it.
+    /// Borrowed worker pool for the pass's parallel sections (see
+    /// `util::FanOut`). Null, or a pool without workers, = the section
+    /// spawns a transient pool sized by `num_threads` when it needs
+    /// one. The service sets this to its long-lived pool so every
+    /// fan-out of a request shares its workers. Never part of cache
+    /// keys; results are bit-identical with or without it.
     util::ThreadPool* pool = nullptr;
-    /// Identity of the request this pass runs on behalf of. Pool
-    /// fan-out lambdas rebind it on the worker thread (via
-    /// `util::trace::RequestScope`) so spans from concurrently raced
-    /// trials group by request. Borrowed from the driver; never part
-    /// of cache keys; purely observational.
-    const util::trace::RequestContext* request_ctx = nullptr;
-    /// Per-request span sink for slow-request capture; rebound
-    /// alongside `request_ctx`. Null = no capture. Never part of
-    /// cache keys; purely observational.
-    util::trace::RequestCapture* capture = nullptr;
 };
 
 }  // namespace caqr

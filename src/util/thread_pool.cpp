@@ -32,6 +32,28 @@ ThreadPool::resolve_threads(int requested)
     return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
+FanOut::FanOut(int num_threads, ThreadPool* pool)
+    : threads_(ThreadPool::resolve_threads(num_threads)),
+      borrowed_(pool != nullptr && pool->size() > 0 ? pool : nullptr),
+      request_(trace::current_request()),
+      capture_(trace::current_capture())
+{
+}
+
+ThreadPool*
+FanOut::pool_for(std::size_t n)
+{
+    if (threads_ == 1) return nullptr;
+    if (borrowed_ != nullptr) return borrowed_;
+    if (transient_ == nullptr) {
+        const std::size_t threads =
+            std::min(static_cast<std::size_t>(threads_), n);
+        transient_ =
+            std::make_unique<ThreadPool>(static_cast<int>(threads) - 1);
+    }
+    return transient_.get();
+}
+
 void
 ThreadPool::enqueue(std::function<void()> task)
 {

@@ -1,15 +1,21 @@
 /**
  * @file
- * Fixed-size thread pool with deterministic batch evaluation.
+ * Fixed-size thread pool with deterministic batch evaluation, and
+ * `FanOut`, the one path every pass's parallel section takes onto it.
  *
- * The pool backs the commuting QS-CaQR candidate scheduling, raced
- * routing trials, shot batches and the service: `map()`
- * evaluates a batch of independent tasks across the workers (the
- * calling thread participates) and returns the results ordered by task
- * index, so callers see the same result vector regardless of how many
- * threads executed the batch or how the scheduler interleaved them.
- * Exceptions thrown by tasks are captured and rethrown — the one with
- * the lowest task index wins, again independent of thread count.
+ * `ThreadPool::map()` evaluates a batch of independent tasks across the
+ * workers (the calling thread participates) and returns the results
+ * ordered by task index, so callers see the same result vector
+ * regardless of how many threads executed the batch or how the
+ * scheduler interleaved them. Exceptions thrown by tasks are captured
+ * and rethrown — the one with the lowest task index wins, again
+ * independent of thread count.
+ *
+ * Passes never build pools themselves: raced routing trials, SR-CaQR
+ * variants, commuting candidate schedules, ESP version selection and
+ * shot batches all go through `FanOut`, which picks serial, borrowed
+ * or transient execution in one place and carries the caller's
+ * request binding onto whichever thread runs each task.
  */
 #ifndef CAQR_UTIL_THREAD_POOL_H
 #define CAQR_UTIL_THREAD_POOL_H
@@ -26,6 +32,9 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "util/options.h"
+#include "util/trace.h"
 
 namespace caqr::util {
 
@@ -148,6 +157,66 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable ready_;
     bool stop_ = false;
+};
+
+/**
+ * One parallel section of a pass. Construction reads the thread budget,
+ * the borrowed pool and the calling thread's request binding
+ * (`trace::current_request()` / `current_capture()`); `map()` then runs
+ * fn(0..n-1) and returns the results in index order:
+ *  - serially on the calling thread when the budget resolves to one
+ *    thread or n <= 1;
+ *  - otherwise on the borrowed pool when it has workers;
+ *  - otherwise on a transient pool of min(threads, n) - 1 workers,
+ *    built by the first parallel `map()` and reused by later ones, so a
+ *    search that fans out once per step spawns threads once.
+ * Every task runs inside a `trace::RequestScope` of the caller's
+ * binding, so spans from pool threads reach the owning request's
+ * capture. Results are bit-identical on every path as long as the
+ * tasks are independent.
+ */
+class FanOut
+{
+  public:
+    /// @p num_threads as in `CommonOptions` (1 = serial, 0/negative =
+    /// one per hardware thread); @p pool may be null.
+    FanOut(int num_threads, ThreadPool* pool);
+    explicit FanOut(const CommonOptions& options)
+        : FanOut(options.num_threads, options.pool)
+    {
+    }
+
+    FanOut(const FanOut&) = delete;
+    FanOut& operator=(const FanOut&) = delete;
+
+    template <typename Fn>
+    auto
+    map(std::size_t n, Fn&& fn)
+        -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
+    {
+        ThreadPool* pool = n > 1 ? pool_for(n) : nullptr;
+        if (pool != nullptr) {
+            return pool->map(n, [&](std::size_t i) {
+                trace::RequestScope scope(request_, capture_);
+                return fn(i);
+            });
+        }
+        using R = std::invoke_result_t<std::decay_t<Fn>&, std::size_t>;
+        std::vector<R> results;
+        results.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) results.push_back(fn(i));
+        return results;
+    }
+
+  private:
+    /// The pool a batch of @p n > 1 tasks runs on; null = serial.
+    ThreadPool* pool_for(std::size_t n);
+
+    int threads_;
+    ThreadPool* borrowed_;
+    std::unique_ptr<ThreadPool> transient_;
+    const trace::RequestContext* request_;
+    trace::RequestCapture* capture_;
 };
 
 }  // namespace caqr::util

@@ -432,13 +432,4 @@ write_env_artifacts(const std::string& name)
     return write_run_artifacts(prefix);
 }
 
-void
-TallySink::flush()
-{
-    for (const auto& [name, delta] : counters_) counter_add(name, delta);
-    for (const auto& [name, value] : gauges_) gauge_set(name, value);
-    counters_.clear();
-    gauges_.clear();
-}
-
 }  // namespace caqr::util::trace

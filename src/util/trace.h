@@ -15,10 +15,8 @@
  *    memo-cache hit rate or simulator shots/sec.
  *
  * Tracing is disabled by default and costs one relaxed atomic load per
- * guard when off. Hot loops that cannot afford even a per-iteration
- * branch are instantiated against a compile-time *null sink*
- * (`NullSink`) whose operations are statically checked to be empty, so
- * the disabled path compiles to exactly the uninstrumented code.
+ * guard when off. Passes tally their work counts in locals and publish
+ * them once per run, so no hot loop carries a trace branch.
  *
  * Setting the environment variable `CAQR_TRACE` (to anything but "0")
  * enables tracing at startup; its value is used as the output-path
@@ -35,7 +33,6 @@
 #include <ostream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace caqr::util::trace {
@@ -60,11 +57,11 @@ void reset();
 // ---------------------------------------------------------------------
 
 /**
- * Identity of one in-flight compile request, carried through
- * `CommonOptions` into every pass so spans from concurrent requests
- * group by request id instead of interleaving into one global
- * timeline. Owned by the request driver (the `Service`); passes hold
- * only a const pointer.
+ * Identity of one in-flight compile request, bound to the compiling
+ * thread by `RequestScope` (and onto pool workers by `util::FanOut`)
+ * so spans from concurrent requests group by request id instead of
+ * interleaving into one global timeline. Owned by the request driver
+ * (the `Service`); scopes hold only a const pointer.
  */
 struct RequestContext
 {
@@ -226,63 +223,6 @@ bool write_run_artifacts(const std::string& prefix);
  * "1" means the current directory) and returns true. No-op otherwise.
  */
 bool write_env_artifacts(const std::string& name);
-
-// ---------------------------------------------------------------------
-// Compile-time sinks for hot loops
-// ---------------------------------------------------------------------
-
-/**
- * Null metrics sink: every operation is a no-op the optimizer erases.
- * Hot paths templated on a sink type are instantiated with NullSink
- * when tracing is disabled, so the disabled mode carries zero
- * instrumentation cost — not even a branch per iteration.
- */
-struct NullSink
-{
-    /// Instrumented code may `if constexpr (Sink::kActive)` around
-    /// work (e.g. clock reads) that has no side-effect-free no-op.
-    static constexpr bool kActive = false;
-
-    void count(const char* /*name*/, double /*delta*/) {}
-    void gauge(const char* /*name*/, double /*value*/) {}
-};
-
-// The zero-overhead contract: the null sink must carry no state, so
-// passing it through a hot loop cannot change codegen.
-static_assert(std::is_empty_v<NullSink>,
-              "NullSink must be stateless (zero-overhead contract)");
-static_assert(std::is_trivially_destructible_v<NullSink>,
-              "NullSink must be trivially destructible");
-
-/**
- * Buffering sink for instrumented hot-loop instantiations: operations
- * accumulate locally (no locks) and `flush()` publishes everything to
- * the registry in one shot. Use from a single thread.
- */
-class TallySink
-{
-  public:
-    static constexpr bool kActive = true;
-
-    void count(const char* name, double delta) { counters_[name] += delta; }
-    void gauge(const char* name, double value) { gauges_[name] = value; }
-
-    /// Buffered value of one counter (0 if never counted). Lets the
-    /// owning pass derive *per-run* rates — e.g. this run's memo hit
-    /// rate — before flush() folds the counts into lifetime totals.
-    double value(const char* name) const
-    {
-        const auto it = counters_.find(name);
-        return it == counters_.end() ? 0.0 : it->second;
-    }
-
-    /// Publishes the buffered values to the global registry.
-    void flush();
-
-  private:
-    std::map<std::string, double> counters_;
-    std::map<std::string, double> gauges_;
-};
 
 }  // namespace caqr::util::trace
 

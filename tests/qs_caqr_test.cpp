@@ -22,6 +22,7 @@
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/trace.h"
 
 namespace caqr {
 namespace {
@@ -388,6 +389,57 @@ TEST(QsCommutingDeterminism, ThreadCountDoesNotChangeResults)
                 << "version " << i;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Observability: spans reach a request capture, counters publish once
+// ---------------------------------------------------------------------
+
+/// Slow-request captures record with global tracing off, so the pass
+/// span must open whenever the pass's own `trace` switch is on.
+TEST(QsCaqrTrace, PassSpansReachRequestCaptureWithTracingOff)
+{
+    util::trace::set_enabled(false);
+    util::trace::RequestContext ctx;
+    ctx.id = 5;
+    util::trace::RequestCapture capture(ctx.id);
+    {
+        util::trace::RequestScope scope(&ctx, &capture);
+        ASSERT_TRUE(core::qs_caqr_or(apps::bv_circuit(6)).ok());
+        ASSERT_TRUE(
+            core::qs_caqr_commuting_or(make_spec(8, 0.3, 7)).ok());
+    }
+    EXPECT_TRUE(capture.has_span("qs_caqr"));
+    EXPECT_TRUE(capture.has_span("qs_caqr_commuting"));
+
+    // The per-pass opt-out still suppresses them.
+    util::trace::RequestCapture quiet(ctx.id);
+    {
+        util::trace::RequestScope scope(&ctx, &quiet);
+        core::QsCaqrOptions options;
+        options.trace = false;
+        ASSERT_TRUE(core::qs_caqr_or(apps::bv_circuit(6), options).ok());
+    }
+    EXPECT_FALSE(quiet.has_span("qs_caqr"));
+}
+
+/// With tracing on, each run publishes its work counts once; the two
+/// BV_6 sweeps commit six pairs between them.
+TEST(QsCaqrTrace, WorkCountersPublishedPerRun)
+{
+    util::trace::reset();
+    util::trace::set_enabled(true);
+    ASSERT_TRUE(core::qs_caqr_or(apps::bv_circuit(6)).ok());
+    ASSERT_TRUE(core::qs_caqr_commuting_or(make_spec(8, 0.3, 7)).ok());
+    const auto metrics = util::trace::collect();
+    util::trace::set_enabled(false);
+    util::trace::reset();
+    EXPECT_EQ(metrics.counters.at("qs_caqr.steps"), 6.0);
+    EXPECT_GT(metrics.counters.at("qs_caqr.candidates"), 6.0);
+    EXPECT_GT(metrics.counters.at("qs_commuting.candidates"), 0.0);
+    EXPECT_GT(metrics.counters.at("qs_commuting.schedules_evaluated"),
+              0.0);
+    EXPECT_TRUE(metrics.spans.count("qs_caqr_commuting"));
 }
 
 // ---------------------------------------------------------------------

@@ -17,10 +17,15 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "apps/benchmarks.h"
+#include "core/qs_caqr.h"
+#include "graph/generators.h"
 #include "qasm/printer.h"
 #include "service/cache.h"
 #include "service/service.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace {
@@ -496,6 +501,107 @@ TEST(ServiceCompile, CacheHitReturnsIdenticalReport)
     const auto snapshot = service.metrics_snapshot();
     EXPECT_EQ(snapshot.counters.at("service.cache.hit"), 1.0);
     EXPECT_EQ(snapshot.counters.at("service.cache.miss"), 2.0);
+}
+
+/// SR-CaQR on a commuting workload runs the QS commuting search with
+/// the request's `qs_commuting` options, so they must split the key:
+/// a cached Service answers exactly what an uncached one computes.
+TEST(ServiceCompile, CachedSrCommutingMatchesUncachedAcrossQsOptions)
+{
+    util::Rng rng(17);
+    core::CommutingSpec spec;
+    spec.interaction = graph::random_graph(12, 0.3, rng);
+    CompileRequest wide;
+    wide.strategy = Strategy::kSrCaqr;
+    wide.commuting = spec;
+    wide.qs_commuting.target_qubits = 10;
+    CompileRequest narrow = wide;
+    narrow.qs_commuting.target_qubits = -1;
+    narrow.qs_commuting.max_candidates = 8;
+    EXPECT_NE(*request_cache_key(wide), *request_cache_key(narrow));
+
+    Service cached({.num_threads = 1, .cache_capacity = 8});
+    Service uncached({.num_threads = 1});
+    for (const CompileRequest* request : {&wide, &narrow}) {
+        const auto hot = cached.compile(*request);
+        const auto cold = uncached.compile(*request);
+        ASSERT_TRUE(cold.ok()) << cold.status.to_string();
+        EXPECT_FALSE(hot.from_cache);
+        EXPECT_EQ(report_fingerprint(hot), report_fingerprint(cold));
+    }
+}
+
+/// Options no pass reads never split the cache: QS-CaQR and the QS
+/// commuting search take no seed.
+TEST(CompileCacheKey, UnreadQsSeedsShareAKey)
+{
+    CompileRequest qs;
+    qs.circuit = apps::bv_circuit(5);
+    CompileRequest reseeded = qs;
+    reseeded.qs.seed = 99;
+    EXPECT_EQ(*request_cache_key(reseeded), *request_cache_key(qs));
+
+    util::Rng rng(3);
+    CompileRequest qsc;
+    qsc.strategy = Strategy::kQsCommuting;
+    qsc.commuting = core::CommutingSpec{};
+    qsc.commuting->interaction = graph::random_graph(6, 0.4, rng);
+    CompileRequest qsc_reseeded = qsc;
+    qsc_reseeded.qs_commuting.seed = 99;
+    EXPECT_EQ(*request_cache_key(qsc_reseeded), *request_cache_key(qsc));
+
+    // The passes that do read a seed still split on it.
+    CompileRequest sr = qs;
+    sr.strategy = Strategy::kSrCaqr;
+    CompileRequest sr_reseeded = sr;
+    sr_reseeded.sr.seed = 99;
+    EXPECT_NE(*request_cache_key(sr_reseeded), *request_cache_key(sr));
+    CompileRequest transpile_reseeded = qs;
+    transpile_reseeded.transpile.seed = 99;
+    EXPECT_NE(*request_cache_key(transpile_reseeded),
+              *request_cache_key(qs));
+}
+
+/// ESP selection maps every QS-CaQR version on the request's pool and
+/// binding: the slow-request capture holds one `transpile` span per
+/// version plus the map stage's.
+TEST(ServiceCompile, SelectByEspCapturesEveryVersionTranspile)
+{
+    const fs::path dir =
+        fs::path(::testing::TempDir()) /
+        ("caqr_esp_capture_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    Service service({.num_threads = 4,
+                     .slow_request_ms = 1e-6,
+                     .slow_trace_dir = dir.string()});
+    CompileRequest request;
+    request.circuit = apps::bv_circuit(8);
+    request.select_by_esp = true;
+    const auto report = service.compile(request);
+    ASSERT_TRUE(report.ok()) << report.status.to_string();
+    const auto versions =
+        core::qs_caqr_or(*request.circuit, request.qs)->versions.size();
+    ASSERT_GT(versions, 2u);
+
+    std::size_t artifacts = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        ++artifacts;
+        std::ifstream in(entry.path());
+        std::ostringstream content;
+        content << in.rdbuf();
+        const std::string trace = content.str();
+        std::size_t spans = 0;
+        for (auto at = trace.find("\"name\":\"transpile\"");
+             at != std::string::npos;
+             at = trace.find("\"name\":\"transpile\"", at + 1)) {
+            ++spans;
+        }
+        EXPECT_EQ(spans, versions + 1) << entry.path();
+    }
+    EXPECT_EQ(artifacts, 1u);
+    fs::remove_all(dir);
 }
 
 /// With the cache disabled (the default), nothing is ever served from

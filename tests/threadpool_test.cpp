@@ -1,12 +1,17 @@
 /// Tests for the fixed-size thread pool behind the commuting QS-CaQR
 /// search, raced routing and the service: task execution, deterministic
 /// result ordering, exception propagation, batch reuse, and clean
-/// shutdown.
+/// shutdown — plus FanOut's serial / borrowed / transient choice.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <future>
+#include <latch>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +22,7 @@
 namespace caqr {
 namespace {
 
+using util::FanOut;
 using util::ThreadPool;
 
 TEST(ThreadPool, SubmitRunsTask)
@@ -162,6 +168,98 @@ TEST(ThreadPool, NegativeWorkerCountUsesHardware)
     EXPECT_GE(pool.size(), 1);
     auto future = pool.submit([] { return 1; });
     EXPECT_EQ(future.get(), 1);
+}
+
+// ---------------------------------------------------------------------
+// FanOut: the one serial / borrowed / transient decision
+// ---------------------------------------------------------------------
+
+/// Runs @p n tasks through @p fan_out and returns the set of threads
+/// that ran them; results must come back in index order.
+std::set<std::thread::id>
+threads_used(FanOut& fan_out, std::size_t n)
+{
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    const auto results = fan_out.map(n, [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+        return static_cast<int>(i) * 3;
+    });
+    EXPECT_EQ(results.size(), n);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i], static_cast<int>(i) * 3);
+    }
+    return ids;
+}
+
+TEST(FanOut, OneThreadRunsSeriallyOnCaller)
+{
+    ThreadPool pool(3);
+    FanOut fan_out(1, &pool);
+    const auto ids = threads_used(fan_out, 32);
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+TEST(FanOut, SingleTaskRunsOnCaller)
+{
+    ThreadPool pool(3);
+    FanOut fan_out(4, &pool);
+    const auto ids = threads_used(fan_out, 1);
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+    EXPECT_TRUE(threads_used(fan_out, 0).empty());
+}
+
+TEST(FanOut, BorrowedPoolRunsTheBatch)
+{
+    ThreadPool pool(3);
+    // Three tasks that wait for each other occupy all three workers.
+    std::latch all_running(3);
+    std::vector<std::future<std::thread::id>> futures;
+    for (int i = 0; i < 3; ++i) {
+        futures.push_back(pool.submit([&all_running] {
+            all_running.arrive_and_wait();
+            return std::this_thread::get_id();
+        }));
+    }
+    std::set<std::thread::id> workers;
+    for (auto& future : futures) workers.insert(future.get());
+    ASSERT_EQ(workers.size(), 3u);
+
+    FanOut fan_out(4, &pool);
+    for (const auto& id : threads_used(fan_out, 64)) {
+        EXPECT_TRUE(id == std::this_thread::get_id() || workers.count(id))
+            << "task ran outside the borrowed pool";
+    }
+}
+
+TEST(FanOut, WorkerlessPoolFallsBackToTransientPool)
+{
+    ThreadPool empty(0);
+    FanOut fan_out(3, &empty);
+    // Caller plus min(3, n) - 1 = 2 transient workers.
+    EXPECT_LE(threads_used(fan_out, 64).size(), 3u);
+    EXPECT_LE(threads_used(fan_out, 64).size(), 3u);
+}
+
+TEST(FanOut, PropagatesLowestIndexException)
+{
+    ThreadPool pool(3);
+    FanOut fan_out(4, &pool);
+    try {
+        fan_out.map(16, [](std::size_t i) -> int {
+            if (i == 5 || i == 9) {
+                throw std::runtime_error("task " + std::to_string(i));
+            }
+            return 0;
+        });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error& error) {
+        EXPECT_EQ(std::string(error.what()), "task 5");
+    }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -127,33 +129,6 @@ TEST_F(TraceTest, ResetDiscardsEverything)
     trace::counter_add("unit.gone", 1.0);
     trace::reset();
     EXPECT_TRUE(trace::collect().counters.empty());
-}
-
-TEST_F(TraceTest, TallySinkBuffersUntilFlush)
-{
-    trace::TallySink sink;
-    sink.count("unit.buffered", 2.0);
-    sink.count("unit.buffered", 3.0);
-    sink.gauge("unit.buffered_gauge", 0.25);
-    EXPECT_TRUE(trace::collect().counters.empty());
-    sink.flush();
-    const auto metrics = trace::collect();
-    EXPECT_DOUBLE_EQ(metrics.counters.at("unit.buffered"), 5.0);
-    EXPECT_DOUBLE_EQ(metrics.gauges.at("unit.buffered_gauge"), 0.25);
-}
-
-// The null sink's zero-overhead contract is enforced at compile time
-// (static_asserts in trace.h); this pins the runtime half: calls are
-// accepted and publish nothing.
-TEST_F(TraceTest, NullSinkPublishesNothing)
-{
-    static_assert(!trace::NullSink::kActive);
-    static_assert(trace::TallySink::kActive);
-    trace::NullSink sink;
-    sink.count("unit.null", 1.0);
-    sink.gauge("unit.null", 1.0);
-    EXPECT_TRUE(trace::collect().counters.empty());
-    EXPECT_TRUE(trace::collect().gauges.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -302,6 +277,58 @@ TEST_F(TraceTest, ConcurrentCapturesStayIsolated)
                 << "request " << r << " holds spans of " << other;
         }
     }
+}
+
+/// util::FanOut carries the caller's request binding onto the pool:
+/// spans from 64 tasks on a 3-worker pool all land in the caller's
+/// capture, whichever thread ran them.
+TEST_F(TraceTest, FanOutTasksRecordIntoCallerCapture)
+{
+    trace::set_enabled(false);
+    trace::RequestContext ctx;
+    ctx.id = 21;
+    trace::RequestCapture capture(ctx.id);
+    util::ThreadPool pool(3);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    {
+        trace::RequestScope scope(&ctx, &capture);
+        util::FanOut fan_out(4, &pool);
+        fan_out.map(64, [&](std::size_t) {
+            trace::Span span("unit.fanout");
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            std::lock_guard<std::mutex> lock(mutex);
+            threads.insert(std::this_thread::get_id());
+            return 0;
+        });
+    }
+    EXPECT_GT(threads.size(), 1u) << "no task ran on a pool worker";
+    EXPECT_EQ(capture.span_count(), 64u);
+    EXPECT_TRUE(capture.has_span("unit.fanout"));
+
+    // The workers' bindings were restored after each task.
+    const auto bound = pool.map(8, [](std::size_t) {
+        return trace::current_capture() == nullptr ? 0 : 1;
+    });
+    for (const int binding : bound) EXPECT_EQ(binding, 0);
+}
+
+/// The same holds on a transient pool (no borrowed pool given).
+TEST_F(TraceTest, FanOutTransientPoolRecordsIntoCallerCapture)
+{
+    trace::set_enabled(false);
+    trace::RequestContext ctx;
+    ctx.id = 22;
+    trace::RequestCapture capture(ctx.id);
+    {
+        trace::RequestScope scope(&ctx, &capture);
+        util::FanOut fan_out(4, nullptr);
+        fan_out.map(16, [](std::size_t) {
+            trace::Span span("unit.transient");
+            return 0;
+        });
+    }
+    EXPECT_EQ(capture.span_count(), 16u);
 }
 
 /// The span cap holds: past kMaxSpans new spans are counted as
