@@ -19,6 +19,35 @@ Backend::Backend(std::string name, graph::UndirectedGraph topology,
 {
     CAQR_CHECK(calibration_.num_qubits() == topology_.num_nodes(),
                "calibration does not cover the topology");
+    best_cx_error_.resize(static_cast<std::size_t>(num_qubits()));
+    for (int q = 0; q < num_qubits(); ++q) {
+        double best = 1.0;
+        for (const int nb : topology_.neighbors(q)) {
+            if (const LinkCalibration* link = calibration_.find_link(q, nb)) {
+                best = std::min(best, link->cx_error);
+            }
+        }
+        best_cx_error_[q] = best;
+    }
+}
+
+const std::vector<double>&
+Backend::closeness() const
+{
+    std::call_once(closeness_->once, [this] {
+        const int np = num_qubits();
+        closeness_->value.resize(static_cast<std::size_t>(np));
+        for (int q = 0; q < np; ++q) {
+            long long total_dist = 0;
+            for (const int d : distances_[static_cast<std::size_t>(q)]) {
+                total_dist += d < 0 ? np : d;
+            }
+            closeness_->value[q] =
+                topology_.degree(q) -
+                static_cast<double>(total_dist) / (np * np);
+        }
+    });
+    return closeness_->value;
 }
 
 Backend
@@ -37,15 +66,6 @@ Backend::scaled_heavy_hex(int min_qubits, unsigned seed)
     auto calibration = Calibration::synthesize(topology, seed);
     return Backend("HeavyHex" + std::to_string(topology.num_nodes()),
                    std::move(topology), std::move(calibration));
-}
-
-int
-Backend::distance(int a, int b) const
-{
-    CAQR_CHECK(a >= 0 && a < num_qubits() && b >= 0 && b < num_qubits(),
-               "physical qubit id out of range");
-    return distances_[static_cast<std::size_t>(a)]
-                     [static_cast<std::size_t>(b)];
 }
 
 double
@@ -75,10 +95,9 @@ CalibratedDurations::duration(const circuit::Instruction& instr) const
     if (circuit::is_two_qubit(instr.kind)) {
         const int a = instr.qubits[0];
         const int b = instr.qubits[1];
-        double cx = LogicalDurations::kTwoQubitGate;
-        if (backend_->calibration().has_link(a, b)) {
-            cx = backend_->calibration().link(a, b).cx_duration_dt;
-        }
+        const LinkCalibration* link = backend_->calibration().find_link(a, b);
+        const double cx = link != nullptr ? link->cx_duration_dt
+                                          : LogicalDurations::kTwoQubitGate;
         return feedforward +
                (instr.kind == GateKind::kSwap ? 3 * cx : cx);
     }
@@ -108,8 +127,8 @@ estimated_success_probability(const circuit::Circuit& circuit,
             if (circuit::is_two_qubit(instr.kind)) {
                 const int a = instr.qubits[0];
                 const int b = instr.qubits[1];
-                double err = 0.02;
-                if (cal.has_link(a, b)) err = cal.link(a, b).cx_error;
+                const LinkCalibration* link = cal.find_link(a, b);
+                const double err = link != nullptr ? link->cx_error : 0.02;
                 const int copies =
                     instr.kind == GateKind::kSwap ? 3 : 1;
                 for (int i = 0; i < copies; ++i) esp *= 1.0 - err;

@@ -7,6 +7,7 @@
 #define CAQR_ARCH_BACKEND_H
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "circuit/circuit.h"
 #include "circuit/timing.h"
 #include "graph/undirected_graph.h"
+#include "util/logging.h"
 
 namespace caqr::arch {
 
@@ -35,8 +37,16 @@ class Backend
     const Calibration& calibration() const { return calibration_; }
     int num_qubits() const { return topology_.num_nodes(); }
 
-    /// Hop distance between physical qubits (precomputed APSP).
-    int distance(int a, int b) const;
+    /// Hop distance between physical qubits (precomputed APSP); -1
+    /// when unreachable. Inline: the mapping passes' innermost query.
+    int
+    distance(int a, int b) const
+    {
+        CAQR_CHECK(a >= 0 && a < num_qubits() && b >= 0 && b < num_qubits(),
+                   "physical qubit id out of range");
+        return distances_[static_cast<std::size_t>(a)]
+                         [static_cast<std::size_t>(b)];
+    }
 
     /// True if @p a and @p b share a physical link.
     bool
@@ -45,11 +55,30 @@ class Backend
         return topology_.has_edge(a, b);
     }
 
+    /// How central each qubit sits: its degree minus the sum of its hop
+    /// distances to every qubit (an unreachable one counts as
+    /// num_qubits()) over num_qubits()². Built on first use, once per
+    /// backend: only SR-CaQR placement reads it, and the O(np²) pass
+    /// would otherwise slow every backend build.
+    const std::vector<double>& closeness() const;
+
+    /// Lowest CX error among the calibrated links incident to @p q; 1.0
+    /// when there is none. Computed once at construction.
+    double best_incident_cx_error(int q) const { return best_cx_error_[q]; }
+
   private:
     std::string name_;
     graph::UndirectedGraph topology_;
     Calibration calibration_;
     std::vector<std::vector<int>> distances_;
+    std::vector<double> best_cx_error_;
+    struct LazyCloseness
+    {
+        std::once_flag once;
+        std::vector<double> value;
+    };
+    std::unique_ptr<LazyCloseness> closeness_ =
+        std::make_unique<LazyCloseness>();
 };
 
 /**

@@ -10,12 +10,6 @@
 
 namespace caqr::arch {
 
-std::pair<int, int>
-Calibration::key(int a, int b)
-{
-    return {std::min(a, b), std::max(a, b)};
-}
-
 Calibration
 Calibration::synthesize(const graph::UndirectedGraph& topology, unsigned seed)
 {
@@ -42,7 +36,7 @@ Calibration::synthesize(const graph::UndirectedGraph& topology, unsigned seed)
         LinkCalibration lc;
         lc.cx_error = 0.005 + 0.015 * rng.next_double();
         lc.cx_duration_dt = 800.0 + 1800.0 * rng.next_double();
-        cal.links_[key(a, b)] = lc;
+        cal.set_link(a, b, lc);
     }
     return cal;
 }
@@ -57,15 +51,28 @@ Calibration::qubit(int q) const
 const LinkCalibration&
 Calibration::link(int a, int b) const
 {
-    auto it = links_.find(key(a, b));
-    CAQR_CHECK(it != links_.end(), "no calibration for this link");
-    return it->second;
+    const LinkCalibration* found = find_link(a, b);
+    CAQR_CHECK(found != nullptr, "no calibration for this link");
+    return *found;
 }
 
-bool
-Calibration::has_link(int a, int b) const
+const LinkCalibration*
+Calibration::find_link(int a, int b) const
 {
-    return links_.count(key(a, b)) > 0;
+    const int index = link_index(a, b);
+    return index < 0 ? nullptr : &links_[static_cast<std::size_t>(index)];
+}
+
+int
+Calibration::link_index(int a, int b) const
+{
+    const int lo = std::min(a, b);
+    const int hi = std::max(a, b);
+    if (lo < 0 || lo >= static_cast<int>(link_rows_.size())) return -1;
+    for (const auto& [other, index] : link_rows_[lo]) {
+        if (other == hi) return index;
+    }
+    return -1;
 }
 
 void
@@ -80,7 +87,20 @@ Calibration::set_qubit(int q, QubitCalibration cal)
 void
 Calibration::set_link(int a, int b, LinkCalibration cal)
 {
-    links_[key(a, b)] = cal;
+    const int lo = std::min(a, b);
+    const int hi = std::max(a, b);
+    CAQR_CHECK(lo >= 0 && lo != hi, "invalid link endpoints");
+    const int index = link_index(lo, hi);
+    if (index >= 0) {
+        links_[static_cast<std::size_t>(index)] = cal;
+        return;
+    }
+    if (lo >= static_cast<int>(link_rows_.size())) {
+        link_rows_.resize(static_cast<std::size_t>(lo) + 1);
+    }
+    link_rows_[static_cast<std::size_t>(lo)].emplace_back(
+        hi, static_cast<int>(links_.size()));
+    links_.push_back(cal);
 }
 
 std::string
@@ -94,9 +114,15 @@ Calibration::serialize() const
         os << "qubit " << q << " " << qc.readout_error << " " << qc.t1_us
            << " " << qc.t2_us << " " << qc.sx_error << "\n";
     }
-    for (const auto& [key, lc] : links_) {
-        os << "link " << key.first << " " << key.second << " "
-           << lc.cx_error << " " << lc.cx_duration_dt << "\n";
+    // Links in (min, max) id order, independent of insertion order.
+    for (std::size_t lo = 0; lo < link_rows_.size(); ++lo) {
+        auto row = link_rows_[lo];
+        std::sort(row.begin(), row.end());
+        for (const auto& [hi, index] : row) {
+            const auto& lc = links_[static_cast<std::size_t>(index)];
+            os << "link " << lo << " " << hi << " " << lc.cx_error << " "
+               << lc.cx_duration_dt << "\n";
+        }
     }
     return os.str();
 }
@@ -166,17 +192,6 @@ Calibration::load_file(const std::string& path, std::string* error)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return deserialize(buffer.str(), error);
-}
-
-double
-Calibration::best_incident_cx_error(const graph::UndirectedGraph& topology,
-                                    int q) const
-{
-    double best = 1.0;
-    for (int nb : topology.neighbors(q)) {
-        if (has_link(q, nb)) best = std::min(best, link(q, nb).cx_error);
-    }
-    return best;
 }
 
 }  // namespace caqr::arch

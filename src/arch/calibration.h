@@ -12,7 +12,6 @@
 #ifndef CAQR_ARCH_CALIBRATION_H
 #define CAQR_ARCH_CALIBRATION_H
 
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -55,17 +54,17 @@ class Calibration
 
     const QubitCalibration& qubit(int q) const;
     const LinkCalibration& link(int a, int b) const;
-    bool has_link(int a, int b) const;
+    bool has_link(int a, int b) const { return find_link(a, b) != nullptr; }
+
+    /// The record of link {a, b} (either order), or null when the link
+    /// is uncalibrated. Costs O(degree of min(a, b)).
+    const LinkCalibration* find_link(int a, int b) const;
 
     int num_qubits() const { return static_cast<int>(qubits_.size()); }
 
     /// Mutable access for tests / custom devices.
     void set_qubit(int q, QubitCalibration cal);
     void set_link(int a, int b, LinkCalibration cal);
-
-    /// Best (lowest) CX error among links incident to @p q; 1.0 if none.
-    double best_incident_cx_error(const graph::UndirectedGraph& topology,
-                                  int q) const;
 
     /// @name Calibration snapshot I/O
     /// The paper consumes "real calibration data exported from the IBM
@@ -82,10 +81,15 @@ class Calibration
     /// @}
 
   private:
-    static std::pair<int, int> key(int a, int b);
+    /// Index of link {a, b} in links_, or -1.
+    int link_index(int a, int b) const;
 
     std::vector<QubitCalibration> qubits_;
-    std::map<std::pair<int, int>, LinkCalibration> links_;
+    /// Link records, dense in insertion order.
+    std::vector<LinkCalibration> links_;
+    /// link_rows_[a] lists (b, index into links_) for every link {a, b}
+    /// with a < b, so the table stays O(links) on any device size.
+    std::vector<std::vector<std::pair<int, int>>> link_rows_;
 };
 
 }  // namespace caqr::arch

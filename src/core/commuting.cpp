@@ -271,6 +271,7 @@ schedule_commuting(const CommutingSpec& spec,
 
     int rounds = 0;
     int gates_left = num_gates * num_layers;
+    graph::MatchingWorkspace matcher;  // one allocation for every round
     process_finishes();  // retire gate-free qubits immediately
     long long guard = 0;
     while (gates_left > 0) {
@@ -306,7 +307,7 @@ schedule_commuting(const CommutingSpec& spec,
         const bool exact =
             static_cast<int>(eligible.size()) <= options.exact_matching_limit;
         const auto matching =
-            exact ? graph::max_weight_matching(n, eligible)
+            exact ? matcher.max_weight_matching(n, eligible)
                   : graph::greedy_matching(n, eligible);
 
         bool any = false;
@@ -553,6 +554,7 @@ schedule_with_budget(const CommutingSpec& spec, int budget,
         return any;
     };
 
+    graph::MatchingWorkspace matcher;  // one allocation for every round
     long long guard = 0;
     while (retired_count < n) {
         CAQR_CHECK(guard++ <= 4LL * num_gates * num_layers +
@@ -588,7 +590,7 @@ schedule_with_budget(const CommutingSpec& spec, int budget,
             const bool exact = static_cast<int>(eligible.size()) <=
                                options.exact_matching_limit;
             const auto matching =
-                exact ? graph::max_weight_matching(n, eligible)
+                exact ? matcher.max_weight_matching(n, eligible)
                       : graph::greedy_matching(n, eligible);
             for (std::size_t e = 0; e < eligible.size(); ++e) {
                 const auto& edge = eligible[e];

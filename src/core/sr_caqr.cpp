@@ -1,9 +1,9 @@
 #include "core/sr_caqr.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <optional>
-#include <set>
 #include <tuple>
 
 #include "circuit/dag.h"
@@ -23,10 +23,59 @@ using circuit::Circuit;
 using circuit::GateKind;
 using circuit::Instruction;
 
-/// Mutable compilation state for the SR-CaQR engine.
+/// Everything SR-CaQR derives from one input alone. run_sr_caqr
+/// builds it once and every trial of the run reads it; none writes it.
+struct SrProblem
+{
+    explicit SrProblem(const Circuit& input);
+    SrProblem(const SrProblem&) = delete;
+    SrProblem& operator=(const SrProblem&) = delete;
+
+    const Circuit logical;          ///< the input with CCX decomposed
+    const circuit::CircuitDag dag;  ///< over `logical`
+    /// Per-node completion times under LogicalDurations; a node whose
+    /// two agree is on the critical path.
+    std::vector<double> earliest;
+    std::vector<double> latest;
+    /// Operation count per logical qubit (paper §3.3.1 Step 2 maps the
+    /// qubit with more gates first).
+    std::vector<int> ops_per_qubit;
+    /// partners[q]: the other operand of every two-qubit instruction on
+    /// q, in instruction order and with repeats.
+    std::vector<std::vector<int>> partners;
+    std::vector<char> is_2q;  ///< per node
+};
+
+SrProblem::SrProblem(const Circuit& input)
+    : logical(transpile::decompose_ccx(input)), dag(logical)
+{
+    circuit::LogicalDurations durations;
+    std::vector<double> weights;
+    weights.reserve(logical.size());
+    const auto nq = static_cast<std::size_t>(logical.num_qubits());
+    ops_per_qubit.assign(nq, 0);
+    partners.resize(nq);
+    is_2q.reserve(logical.size());
+    for (const auto& instr : logical.instructions()) {
+        weights.push_back(durations.duration(instr));
+        for (int q : instr.qubits) ++ops_per_qubit[q];
+        const bool two_qubit = circuit::is_two_qubit(instr.kind);
+        is_2q.push_back(two_qubit ? 1 : 0);
+        if (!two_qubit) continue;
+        for (int q : instr.qubits) {
+            for (int other : instr.qubits) {
+                if (other != q) partners[q].push_back(other);
+            }
+        }
+    }
+    earliest = dag.graph().earliest_completion(weights);
+    latest = dag.graph().latest_completion(weights);
+}
+
+/// Mutable compilation state of one SR-CaQR trial.
 struct SrState
 {
-    const Circuit* logical;
+    const SrProblem* problem;
     const arch::Backend* backend;
     const SrCaqrOptions* options;
 
@@ -35,6 +84,7 @@ struct SrState
     std::vector<int> logical_of;   // physical -> logical or -1
     std::vector<bool> ever_used;   // physical touched at least once
     std::vector<int> remaining_ops;  // per logical qubit
+    std::vector<int> placed;       // scratch: physical ids of partners
     util::Rng* jitter_rng = nullptr;  // set when options->jitter > 0
     int swaps_added = 0;
     int reuses = 0;
@@ -46,19 +96,6 @@ jitter_of(const SrState& state)
 {
     if (state.jitter_rng == nullptr) return 0.0;
     return state.options->jitter * state.jitter_rng->next_double();
-}
-
-/// Total operation count per logical qubit (for "map the qubit with
-/// more gates first", paper §3.3.1 Step 2).
-std::vector<int>
-ops_per_qubit(const Circuit& circuit)
-{
-    std::vector<int> count(static_cast<std::size_t>(circuit.num_qubits()),
-                           0);
-    for (const auto& instr : circuit.instructions()) {
-        for (int q : instr.qubits) ++count[q];
-    }
-    return count;
 }
 
 /// Free physical qubits = not currently hosting a logical qubit.
@@ -74,24 +111,22 @@ int safe_distance(const arch::Backend& backend, int a, int b);
 /// well connected and close to the device center; lookahead pulls it
 /// toward already-mapped future partners.
 int
-pick_seed_phys(const SrState& state, int logical_q)
+pick_seed_phys(SrState& state, int logical_q)
 {
     const auto& backend = *state.backend;
     const auto& topology = backend.topology();
     const int np = backend.num_qubits();
 
     // Future partners of logical_q that are already mapped.
-    std::vector<int> partners;
-    for (const auto& instr : state.logical->instructions()) {
-        if (!circuit::is_two_qubit(instr.kind)) continue;
-        if (!instr.uses_qubit(logical_q)) continue;
-        for (int other : instr.qubits) {
-            if (other != logical_q && state.phys_of[other] >= 0) {
-                partners.push_back(state.phys_of[other]);
-            }
+    std::vector<int>& partners = state.placed;
+    partners.clear();
+    for (int other : state.problem->partners[logical_q]) {
+        if (state.phys_of[other] >= 0) {
+            partners.push_back(state.phys_of[other]);
         }
     }
 
+    const std::vector<double>& closeness = backend.closeness();
     int best = -1;
     double best_score = -std::numeric_limits<double>::infinity();
     for (int p = 0; p < np; ++p) {
@@ -99,13 +134,7 @@ pick_seed_phys(const SrState& state, int logical_q)
         double score;
         if (partners.empty()) {
             // No placed partner: well-connected central qubit.
-            long long total_dist = 0;
-            for (int other = 0; other < np; ++other) {
-                const int d = backend.distance(p, other);
-                total_dist += d < 0 ? np : d;
-            }
-            score = topology.degree(p) -
-                    static_cast<double>(total_dist) / (np * np);
+            score = closeness[p];
         } else {
             // Placed partners dominate: sit as close to them as
             // possible, with connectivity as a mild tie-break.
@@ -119,8 +148,7 @@ pick_seed_phys(const SrState& state, int logical_q)
         }
         if (state.options->error_aware) {
             score -= backend.calibration().qubit(p).readout_error;
-            score -= backend.calibration().best_incident_cx_error(
-                topology, p);
+            score -= backend.best_incident_cx_error(p);
         }
         score -= jitter_of(state);
         if (score > best_score) {
@@ -138,20 +166,17 @@ pick_seed_phys(const SrState& state, int logical_q)
 /// toward @p logical_q's already-placed *future* partners, trading a
 /// slightly longer first hop for fewer SWAPs later.
 int
-pick_adjacent_phys(const SrState& state, int logical_q, int partner_phys)
+pick_adjacent_phys(SrState& state, int logical_q, int partner_phys)
 {
     const auto& backend = *state.backend;
 
-    std::vector<int> future_partners;
+    std::vector<int>& future_partners = state.placed;
+    future_partners.clear();
     if (state.options->placement_pull > 0.0) {
-        for (const auto& instr : state.logical->instructions()) {
-            if (!circuit::is_two_qubit(instr.kind)) continue;
-            if (!instr.uses_qubit(logical_q)) continue;
-            for (int other : instr.qubits) {
-                if (other != logical_q && state.phys_of[other] >= 0 &&
-                    state.phys_of[other] != partner_phys) {
-                    future_partners.push_back(state.phys_of[other]);
-                }
+        for (int other : state.problem->partners[logical_q]) {
+            if (state.phys_of[other] >= 0 &&
+                state.phys_of[other] != partner_phys) {
+                future_partners.push_back(state.phys_of[other]);
             }
         }
     }
@@ -269,195 +294,40 @@ reclaim_finished(SrState& state, const Instruction& executed,
     }
 }
 
-}  // namespace
-
-namespace {
-
-SrCaqrResult sr_caqr_single(const Circuit& input,
-                            const arch::Backend& backend,
-                            const SrCaqrOptions& options);
-
-/// Full variant-trials run; the caller has already checked that the
-/// circuit fits the backend. Variants race on @p fan_out, which a
-/// multi-level search shares across its runs.
-SrCaqrResult
-run_sr_caqr(const Circuit& input, const arch::Backend& backend,
-            const SrCaqrOptions& options, util::FanOut& fan_out)
+/// Swap-count bounds a trial is cut against: it stops once its count
+/// strictly exceeds either, since it can then neither anchor nor win.
+struct SwapBound
 {
-    std::optional<util::trace::Span> span;
-    if (options.trace) span.emplace("sr_caqr");
+    /// Fewest SWAPs of any finished portfolio trial (variants 0-3) of
+    /// the run; lowered as they finish.
+    const std::atomic<int>* portfolio;
+    /// A fixed bound: the best SWAP count of earlier reuse levels for
+    /// trials 4 and up of a commuting probe, unbounded otherwise.
+    int fixed;
 
-    // Heuristic-perturbation trials around the placement and SWAP
-    // scoring weights. The first 4 variants are the historical
-    // portfolio; 5-8 widen the sweep now that trials race on the
-    // thread pool. The winner selection below guarantees any trial
-    // count >= 4 is weakly better than the pre-PR-9 behavior on every
-    // tracked quality metric.
-    struct Variant
+    bool
+    exceeded(int swaps) const
     {
-        double lookahead;
-        double swap_lookahead;
-        double pull;         ///< placement_pull override (< 0 keeps it)
-        bool distance_only;  ///< drop the error-aware placement bias
-        bool eager_mapping;  ///< drop the delay-noncritical rule
-    };
-    static constexpr Variant kVariants[] = {
-        {1.0, 1.0, -1.0, false, false}, {0.5, 0.5, -1.0, false, false},
-        {2.0, 2.0, -1.0, false, false}, {1.0, 0.25, -1.0, false, false},
-        {1.0, 1.0, 0.5, false, false},  {1.0, 1.0, 1.0, true, false},
-        {1.0, 0.5, 0.25, false, false}, {1.0, 1.0, 0.5, false, true}};
-    constexpr int kNumVariants =
-        static_cast<int>(sizeof(kVariants) / sizeof(kVariants[0]));
-
-    // Trials beyond the structural portfolio are seeded-jitter runs:
-    // small tie-break noise on placement keys and SWAP scores lets
-    // equal-cost decisions explore different branches — SR's analogue
-    // of SABRE multi-seed trials. Amplitudes cycle small -> large so
-    // early extra trials stay close to the greedy solution.
-    static constexpr double kJitterAmps[] = {0.05, 0.15, 0.3, 0.6};
-
-    const int trials = std::max(1, options.trials);
-
-    // A trial's result plus its estimated success probability — ESP is
-    // part of the winner selection below, so it is computed inside the
-    // (possibly racing) trial rather than serially afterwards.
-    struct TrialResult
-    {
-        SrCaqrResult result;
-        double esp = 0.0;
-    };
-    auto run_variant = [&](std::size_t trial) {
-        SrCaqrOptions variant = options;
-        if (trial < static_cast<std::size_t>(kNumVariants)) {
-            variant.lookahead_weight *= kVariants[trial].lookahead;
-            variant.swap_lookahead_weight *=
-                kVariants[trial].swap_lookahead;
-            if (kVariants[trial].pull >= 0.0) {
-                variant.placement_pull = kVariants[trial].pull;
-            }
-            // Structural variants only *relax* requested features, so
-            // a caller who disabled them still gets what they asked
-            // for.
-            if (kVariants[trial].distance_only) {
-                variant.error_aware = false;
-            }
-            if (kVariants[trial].eager_mapping) {
-                variant.delay_noncritical = false;
-            }
-        } else {
-            const std::size_t j =
-                trial - static_cast<std::size_t>(kNumVariants);
-            variant.jitter = kJitterAmps[j % 4];
-            variant.jitter_stream = j / 4;
-        }
-        TrialResult out;
-        out.result = sr_caqr_single(input, backend, variant);
-        out.esp = arch::estimated_success_probability(out.result.circuit,
-                                                      backend);
-        return out;
-    };
-
-    std::vector<TrialResult> results =
-        fan_out.map(static_cast<std::size_t>(trials), run_variant);
-
-    // Winner selection, in two index-ordered stages (map() returns
-    // results in variant order, so both are thread-count-independent).
-    //
-    // Stage 1 — anchor: the historical portfolio's winner (the first 4
-    // variants, fewest SWAPs then shortest duration), i.e. exactly what
-    // the narrower pre-PR-9 sweep produced.
-    //
-    // Stage 2 — challenge: a trial is *admissible* when it is no worse
-    // than the anchor on every quality metric the regression gate
-    // tracks (SWAPs, physical qubits, depth, ESP); among admissible
-    // trials the lexicographically best (fewest SWAPs, fewest qubits,
-    // lowest depth, highest ESP, shortest duration, lowest index)
-    // wins. Because admissibility is judged against the anchor — not
-    // the running winner — one challenger can never shadow another,
-    // and the final answer always dominates the legacy result: the
-    // wider portfolio can only improve, never trade one tracked
-    // metric for another.
-    const std::size_t legacy =
-        std::min<std::size_t>(results.size(), 4);
-    std::size_t anchor = 0;
-    for (std::size_t i = 1; i < legacy; ++i) {
-        const SrCaqrResult& r = results[i].result;
-        const SrCaqrResult& w = results[anchor].result;
-        if (r.swaps_added < w.swaps_added ||
-            (r.swaps_added == w.swaps_added &&
-             r.duration_dt < w.duration_dt)) {
-            anchor = i;
-        }
+        return swaps > fixed ||
+               swaps > portfolio->load(std::memory_order_relaxed);
     }
-    std::size_t winner = anchor;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (i == winner) continue;
-        const SrCaqrResult& r = results[i].result;
-        const SrCaqrResult& a = results[anchor].result;
-        const bool admissible =
-            r.swaps_added <= a.swaps_added &&
-            r.physical_qubits_used <= a.physical_qubits_used &&
-            r.depth <= a.depth && results[i].esp >= results[anchor].esp;
-        if (!admissible) continue;
-        const SrCaqrResult& w = results[winner].result;
-        const auto key = [&](const SrCaqrResult& x, double esp) {
-            return std::make_tuple(x.swaps_added, x.physical_qubits_used,
-                                   x.depth, -esp, x.duration_dt);
-        };
-        if (key(r, results[i].esp) < key(w, results[winner].esp)) {
-            winner = i;
-        }
-    }
-    SrCaqrResult best = std::move(results[winner].result);
+};
 
-    if (options.trace && util::trace::enabled()) {
-        util::trace::counter_add("sr_caqr.variant_trials", trials);
-        util::trace::counter_add("sr_caqr.swaps_added", best.swaps_added);
-        util::trace::counter_add("sr_caqr.reuses", best.reuses);
-    }
-    return best;
-}
-
-}  // namespace
-
-util::StatusOr<SrCaqrResult>
-sr_caqr_or(const Circuit& logical, const arch::Backend& backend,
-           const SrCaqrOptions& options)
+/// One SR-CaQR trial on @p problem; std::nullopt when the trial passed
+/// @p bound and stopped early.
+std::optional<SrCaqrResult>
+run_trial(const SrProblem& problem, const arch::Backend& backend,
+          const SrCaqrOptions& options, const SwapBound& bound)
 {
-    if (logical.num_qubits() > backend.num_qubits()) {
-        return util::Status::infeasible(
-            "circuit needs " + std::to_string(logical.num_qubits()) +
-            " qubits but backend '" + backend.name() + "' has " +
-            std::to_string(backend.num_qubits()));
-    }
-    util::FanOut fan_out(options);
-    return run_sr_caqr(logical, backend, options, fan_out);
-}
-
-namespace {
-
-SrCaqrResult
-sr_caqr_single(const Circuit& input, const arch::Backend& backend,
-               const SrCaqrOptions& options)
-{
-    const Circuit logical = transpile::decompose_ccx(input);
-    CAQR_CHECK(logical.num_qubits() <= backend.num_qubits(),
-               "circuit does not fit the backend");
-
-    circuit::CircuitDag dag(logical);
-    circuit::LogicalDurations durations;
-    std::vector<double> weights;
-    weights.reserve(logical.size());
-    for (const auto& instr : logical.instructions()) {
-        weights.push_back(durations.duration(instr));
-    }
-    const auto earliest = dag.graph().earliest_completion(weights);
-    const auto latest = dag.graph().latest_completion(weights);
+    const Circuit& logical = problem.logical;
+    const auto& graph = problem.dag.graph();
+    const auto& earliest = problem.earliest;
+    const auto& latest = problem.latest;
 
     util::Rng jitter_rng(options.seed, options.jitter_stream);
 
     SrState state;
-    state.logical = &logical;
+    state.problem = &problem;
     state.backend = &backend;
     state.options = &options;
     if (options.jitter > 0.0) state.jitter_rng = &jitter_rng;
@@ -469,13 +339,13 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
         static_cast<std::size_t>(backend.num_qubits()), -1);
     state.ever_used.assign(
         static_cast<std::size_t>(backend.num_qubits()), false);
-    state.remaining_ops = ops_per_qubit(logical);
+    state.remaining_ops = problem.ops_per_qubit;
 
-    const int num_nodes = dag.graph().num_nodes();
+    const int num_nodes = graph.num_nodes();
     std::vector<int> preds_left(static_cast<std::size_t>(num_nodes));
     std::vector<int> frontier;
     for (int node = 0; node < num_nodes; ++node) {
-        preds_left[node] = dag.graph().in_degree(node);
+        preds_left[node] = graph.in_degree(node);
         if (preds_left[node] == 0) frontier.push_back(node);
     }
 
@@ -512,33 +382,40 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
     };
 
     // Lookahead window: upcoming two-qubit gates (successor closure of
-    // the frontier) whose operands are already mapped.
+    // the frontier, BFS order) whose operands are already mapped. The
+    // walk stamps `seen` with a per-walk epoch instead of clearing it.
+    // SWAPs move mapped qubits but never map or unmap one, so the
+    // window stays valid until a gate executes or a qubit is placed.
     constexpr int kLookaheadSize = 20;
     const double kLookaheadWeight = options.swap_lookahead_weight;
-    auto lookahead_set = [&](const std::vector<int>& frontier_nodes) {
-        std::vector<int> result;
-        std::vector<int> queue = frontier_nodes;
-        std::vector<bool> seen(static_cast<std::size_t>(num_nodes),
-                               false);
-        for (int node : queue) seen[node] = true;
+    std::vector<unsigned> seen(static_cast<std::size_t>(num_nodes), 0u);
+    unsigned epoch = 0;
+    std::vector<int> queue;
+    std::vector<int> extended;
+    bool extended_valid = false;
+    auto refresh_lookahead = [&]() {
+        ++epoch;
+        extended.clear();
+        queue.assign(frontier.begin(), frontier.end());
+        for (int node : queue) seen[node] = epoch;
         std::size_t head = 0;
         while (head < queue.size() &&
-               static_cast<int>(result.size()) < kLookaheadSize) {
+               static_cast<int>(extended.size()) < kLookaheadSize) {
             const int node = queue[head++];
-            for (int succ : dag.graph().successors(node)) {
-                if (seen[succ]) continue;
-                seen[succ] = true;
+            for (int succ : graph.successors(node)) {
+                if (seen[succ] == epoch) continue;
+                seen[succ] = epoch;
                 queue.push_back(succ);
                 const auto& instr =
                     logical.at(static_cast<std::size_t>(succ));
-                if (circuit::is_two_qubit(instr.kind) &&
+                if (problem.is_2q[succ] &&
                     state.phys_of[instr.qubits[0]] >= 0 &&
                     state.phys_of[instr.qubits[1]] >= 0) {
-                    result.push_back(succ);
+                    extended.push_back(succ);
                 }
             }
         }
-        return result;
+        extended_valid = true;
     };
 
     std::vector<double> decay(
@@ -549,11 +426,19 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
     const long long stall_limit =
         4LL * num_nodes * backend.num_qubits() + 1000;
 
+    std::vector<int> still_blocked;
+    std::vector<int> newly_ready;
+    std::vector<int> blocked_mapped;
+    std::vector<int> need_mapping;
+    std::vector<int> to_map;
+    std::vector<std::pair<int, int>> candidates;
     while (!frontier.empty()) {
+        if (bound.exceeded(state.swaps_added)) return std::nullopt;
+
         // A) Execute every frontier gate that is mapped and
         // hardware-compliant; this retires qubits as early as possible.
-        std::vector<int> still_blocked;
-        std::vector<int> newly_ready;
+        still_blocked.clear();
+        newly_ready.clear();
         bool executed_any = false;
         for (int node : frontier) {
             const Instruction& instr =
@@ -562,7 +447,7 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
             for (int q : instr.qubits) {
                 if (state.phys_of[q] < 0) ready = false;
             }
-            if (ready && circuit::is_two_qubit(instr.kind)) {
+            if (ready && problem.is_2q[node]) {
                 ready = backend.are_adjacent(state.phys_of[instr.qubits[0]],
                                              state.phys_of[instr.qubits[1]]);
             }
@@ -573,14 +458,15 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
             emit(state, instr);
             reclaim_finished(state, instr, instr);
             executed_any = true;
-            for (int succ : dag.graph().successors(node)) {
+            for (int succ : graph.successors(node)) {
                 if (--preds_left[succ] == 0) newly_ready.push_back(succ);
             }
         }
-        frontier = std::move(still_blocked);
+        frontier.swap(still_blocked);
         frontier.insert(frontier.end(), newly_ready.begin(),
                         newly_ready.end());
         if (executed_any) {
+            extended_valid = false;
             swap_streak = 0;
             if (++executed_batches % 5 == 0) {
                 std::fill(decay.begin(), decay.end(), 0.0);
@@ -593,8 +479,8 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
         // B) Mapping decisions: critical gates with unmapped operands
         // map now; non-critical ones stay delayed while routed gates
         // can still make progress (paper Step 2's delaying rule).
-        std::vector<int> blocked_mapped;
-        std::vector<int> need_mapping;
+        blocked_mapped.clear();
+        need_mapping.clear();
         for (int node : frontier) {
             const Instruction& instr =
                 logical.at(static_cast<std::size_t>(node));
@@ -604,7 +490,7 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
             }
             (unmapped ? need_mapping : blocked_mapped).push_back(node);
         }
-        std::vector<int> to_map;
+        to_map.clear();
         for (int node : need_mapping) {
             if (!options.delay_noncritical ||
                 std::abs(earliest[node] - latest[node]) < 1e-9) {
@@ -623,6 +509,7 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
                 return earliest[a] < earliest[b];
             });
             for (int node : to_map) map_operands(node);
+            extended_valid = false;
             continue;  // re-scan: mapped gates may now be executable
         }
 
@@ -655,18 +542,24 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
             swap_streak = 0;
             continue;
         }
-        const auto extended = lookahead_set(frontier);
-        std::set<std::pair<int, int>> candidates;
+        if (!extended_valid) refresh_lookahead();
+        // Candidate links touching a blocked operand, each once, in
+        // (low, high) order.
+        candidates.clear();
         for (int node : blocked_mapped) {
             const auto& instr =
                 logical.at(static_cast<std::size_t>(node));
             for (int operand : instr.qubits) {
                 const int p = state.phys_of[operand];
                 for (int nb : backend.topology().neighbors(p)) {
-                    candidates.insert({std::min(p, nb), std::max(p, nb)});
+                    candidates.emplace_back(std::min(p, nb),
+                                            std::max(p, nb));
                 }
             }
         }
+        std::sort(candidates.begin(), candidates.end());
+        candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                         candidates.end());
         CAQR_CHECK(!candidates.empty(), "no candidate swaps available");
 
         auto swap_cost = [&](int pa, int pb) {
@@ -698,9 +591,11 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
                     kLookaheadWeight / static_cast<double>(extended.size());
             }
             double link_bias = 0.0;
-            if (state.options->error_aware &&
-                backend.calibration().has_link(pa, pb)) {
-                link_bias = backend.calibration().link(pa, pb).cx_error;
+            if (state.options->error_aware) {
+                if (const auto* link =
+                        backend.calibration().find_link(pa, pb)) {
+                    link_bias = link->cx_error;
+                }
             }
             // Same combiner as the baseline router: the error-aware
             // bias sits inside the decayed product (PR-9 fix).
@@ -737,7 +632,206 @@ sr_caqr_single(const Circuit& input, const arch::Backend& backend,
     return result;
 }
 
+/// Full variant-trials run; the caller has already checked that the
+/// circuit fits the backend. Variants race on @p fan_out, which a
+/// multi-level search shares across its runs. Trials 4 and up stop
+/// once their SWAP count passes @p swap_bound: a caller passes the
+/// count a result must not exceed to matter to it.
+SrCaqrResult
+run_sr_caqr(const Circuit& input, const arch::Backend& backend,
+            const SrCaqrOptions& options, util::FanOut& fan_out,
+            int swap_bound = std::numeric_limits<int>::max())
+{
+    std::optional<util::trace::Span> span;
+    if (options.trace) span.emplace("sr_caqr");
+
+    const SrProblem problem(input);
+    CAQR_CHECK(problem.logical.num_qubits() <= backend.num_qubits(),
+               "circuit does not fit the backend");
+
+    // Heuristic-perturbation trials around the placement and SWAP
+    // scoring weights. The first 4 variants are the historical
+    // portfolio; 5-8 widen the sweep now that trials race on the
+    // thread pool. The winner selection below guarantees any trial
+    // count >= 4 is weakly better than the pre-PR-9 behavior on every
+    // tracked quality metric.
+    struct Variant
+    {
+        double lookahead;
+        double swap_lookahead;
+        double pull;         ///< placement_pull override (< 0 keeps it)
+        bool distance_only;  ///< drop the error-aware placement bias
+        bool eager_mapping;  ///< drop the delay-noncritical rule
+    };
+    static constexpr Variant kVariants[] = {
+        {1.0, 1.0, -1.0, false, false}, {0.5, 0.5, -1.0, false, false},
+        {2.0, 2.0, -1.0, false, false}, {1.0, 0.25, -1.0, false, false},
+        {1.0, 1.0, 0.5, false, false},  {1.0, 1.0, 1.0, true, false},
+        {1.0, 0.5, 0.25, false, false}, {1.0, 1.0, 0.5, false, true}};
+    constexpr int kNumVariants =
+        static_cast<int>(sizeof(kVariants) / sizeof(kVariants[0]));
+
+    // Trials beyond the structural portfolio are seeded-jitter runs:
+    // small tie-break noise on placement keys and SWAP scores lets
+    // equal-cost decisions explore different branches — SR's analogue
+    // of SABRE multi-seed trials. Amplitudes cycle small -> large so
+    // early extra trials stay close to the greedy solution.
+    static constexpr double kJitterAmps[] = {0.05, 0.15, 0.3, 0.6};
+
+    const int trials = std::max(1, options.trials);
+    const std::size_t legacy = std::min<std::size_t>(
+        static_cast<std::size_t>(trials), 4);
+
+    // A trial's result plus its estimated success probability — ESP is
+    // part of the winner selection below, so it is computed inside the
+    // (possibly racing) trial rather than serially afterwards. A trial
+    // that passed its SWAP bound is `aborted` and carries neither.
+    //
+    // The bound: any trial with more SWAPs than a finished portfolio
+    // trial (variants 0-3) can neither be the anchor nor admissible
+    // against it, and a trial 4+ with more SWAPs than @p swap_bound
+    // cannot change the caller's pick. A trial whose final count stays
+    // within both bounds never sees them passed, whatever finishes
+    // first, so the set that can win — and the winner — is the same at
+    // every thread count; only how early the losers stop varies.
+    struct TrialResult
+    {
+        SrCaqrResult result;
+        double esp = 0.0;
+        bool aborted = false;
+    };
+    std::atomic<int> portfolio_best{std::numeric_limits<int>::max()};
+    auto run_variant = [&](std::size_t trial) {
+        SrCaqrOptions variant = options;
+        if (trial < static_cast<std::size_t>(kNumVariants)) {
+            variant.lookahead_weight *= kVariants[trial].lookahead;
+            variant.swap_lookahead_weight *=
+                kVariants[trial].swap_lookahead;
+            if (kVariants[trial].pull >= 0.0) {
+                variant.placement_pull = kVariants[trial].pull;
+            }
+            // Structural variants only *relax* requested features, so
+            // a caller who disabled them still gets what they asked
+            // for.
+            if (kVariants[trial].distance_only) {
+                variant.error_aware = false;
+            }
+            if (kVariants[trial].eager_mapping) {
+                variant.delay_noncritical = false;
+            }
+        } else {
+            const std::size_t j =
+                trial - static_cast<std::size_t>(kNumVariants);
+            variant.jitter = kJitterAmps[j % 4];
+            variant.jitter_stream = j / 4;
+        }
+        const SwapBound bound{
+            &portfolio_best,
+            trial < legacy ? std::numeric_limits<int>::max() : swap_bound};
+        TrialResult out;
+        auto result = run_trial(problem, backend, variant, bound);
+        if (!result.has_value()) {
+            out.aborted = true;
+            return out;
+        }
+        out.result = std::move(*result);
+        if (trial < legacy) {
+            int seen = portfolio_best.load(std::memory_order_relaxed);
+            while (out.result.swaps_added < seen &&
+                   !portfolio_best.compare_exchange_weak(
+                       seen, out.result.swaps_added,
+                       std::memory_order_relaxed)) {
+            }
+        }
+        out.esp = arch::estimated_success_probability(out.result.circuit,
+                                                      backend);
+        return out;
+    };
+
+    std::vector<TrialResult> results =
+        fan_out.map(static_cast<std::size_t>(trials), run_variant);
+
+    // Winner selection, in two index-ordered stages (map() returns
+    // results in variant order, so both are thread-count-independent).
+    //
+    // Stage 1 — anchor: the historical portfolio's winner (the first 4
+    // variants, fewest SWAPs then shortest duration), i.e. exactly what
+    // the narrower pre-PR-9 sweep produced. The portfolio trial with
+    // the fewest SWAPs never passes the bound, so an anchor exists.
+    //
+    // Stage 2 — challenge: a trial is *admissible* when it is no worse
+    // than the anchor on every quality metric the regression gate
+    // tracks (SWAPs, physical qubits, depth, ESP); among admissible
+    // trials the lexicographically best (fewest SWAPs, fewest qubits,
+    // lowest depth, highest ESP, shortest duration, lowest index)
+    // wins. Because admissibility is judged against the anchor — not
+    // the running winner — one challenger can never shadow another,
+    // and the final answer always dominates the legacy result: the
+    // wider portfolio can only improve, never trade one tracked
+    // metric for another.
+    std::size_t anchor = legacy;
+    for (std::size_t i = 0; i < legacy; ++i) {
+        if (results[i].aborted) continue;
+        const SrCaqrResult& r = results[i].result;
+        if (anchor == legacy) {
+            anchor = i;
+            continue;
+        }
+        const SrCaqrResult& w = results[anchor].result;
+        if (r.swaps_added < w.swaps_added ||
+            (r.swaps_added == w.swaps_added &&
+             r.duration_dt < w.duration_dt)) {
+            anchor = i;
+        }
+    }
+    CAQR_CHECK(anchor < legacy, "every portfolio trial was aborted");
+    std::size_t winner = anchor;
+    int aborted = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].aborted) ++aborted;
+        if (i == winner || results[i].aborted) continue;
+        const SrCaqrResult& r = results[i].result;
+        const SrCaqrResult& a = results[anchor].result;
+        const bool admissible =
+            r.swaps_added <= a.swaps_added &&
+            r.physical_qubits_used <= a.physical_qubits_used &&
+            r.depth <= a.depth && results[i].esp >= results[anchor].esp;
+        if (!admissible) continue;
+        const SrCaqrResult& w = results[winner].result;
+        const auto key = [&](const SrCaqrResult& x, double esp) {
+            return std::make_tuple(x.swaps_added, x.physical_qubits_used,
+                                   x.depth, -esp, x.duration_dt);
+        };
+        if (key(r, results[i].esp) < key(w, results[winner].esp)) {
+            winner = i;
+        }
+    }
+    SrCaqrResult best = std::move(results[winner].result);
+
+    if (options.trace && util::trace::enabled()) {
+        util::trace::counter_add("sr_caqr.variant_trials", trials);
+        util::trace::counter_add("sr_caqr.trials_aborted", aborted);
+        util::trace::counter_add("sr_caqr.swaps_added", best.swaps_added);
+        util::trace::counter_add("sr_caqr.reuses", best.reuses);
+    }
+    return best;
+}
+
 }  // namespace
+
+util::StatusOr<SrCaqrResult>
+sr_caqr_or(const Circuit& logical, const arch::Backend& backend,
+           const SrCaqrOptions& options)
+{
+    if (logical.num_qubits() > backend.num_qubits()) {
+        return util::Status::infeasible(
+            "circuit needs " + std::to_string(logical.num_qubits()) +
+            " qubits but backend '" + backend.name() + "' has " +
+            std::to_string(backend.num_qubits()));
+    }
+    util::FanOut fan_out(options);
+    return run_sr_caqr(logical, backend, options, fan_out);
+}
 
 util::StatusOr<SrCaqrResult>
 sr_caqr_commuting_or(const CommutingSpec& spec, const arch::Backend& backend,
@@ -770,8 +864,12 @@ sr_caqr_commuting_or(const CommutingSpec& spec, const arch::Backend& backend,
     // Every reuse level is probed (the sweep is one version per count).
     util::FanOut fan_out(options);
     for (const auto& version : qs->versions) {
-        auto result = run_sr_caqr(version.schedule.circuit, backend,
-                                  options, fan_out);
+        // A level with more SWAPs than the best so far cannot win, so
+        // its wider trials stop once they pass that count.
+        auto result = run_sr_caqr(
+            version.schedule.circuit, backend, options, fan_out,
+            have_best ? best_result.swaps_added
+                      : std::numeric_limits<int>::max());
         const bool better =
             !have_best ||
             result.swaps_added < best_result.swaps_added ||

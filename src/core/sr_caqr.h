@@ -25,10 +25,10 @@
 namespace caqr::core {
 
 /// SR-CaQR options. The embedded CommonOptions supply the per-request
-/// trace opt-out and the variant-trial thread count / borrowed pool
-/// (the pass itself is deterministic — its trials are fixed heuristic
-/// variants, not seeded perturbations, and the winner never depends on
-/// thread count).
+/// trace opt-out, the variant-trial thread count / borrowed pool, and
+/// the `seed` of the jittered trials. The pass is deterministic: trials
+/// 0-7 are fixed heuristic variants, trials 8 and up are seeded-jitter
+/// runs, and the winner never depends on thread count.
 struct SrCaqrOptions : CommonOptions
 {
     /// Break placement/SWAP ties toward lower readout / CX error.
@@ -62,8 +62,10 @@ struct SrCaqrOptions : CommonOptions
     /// trial takes the win only when it is no worse on every tracked
     /// quality metric (SWAPs, physical qubits, depth, ESP) and
     /// strictly better on at least one, so more trials can only
-    /// improve results. Trials race on the thread pool; the winner is
-    /// bit-identical at any thread count.
+    /// improve results. Trials race on the thread pool and stop early
+    /// once their SWAP count exceeds a finished portfolio trial's (they
+    /// can then no longer win); the winner is bit-identical at any
+    /// thread count.
     int trials = 24;
     /// Delay non-critical gates whose qubits are unmapped (paper
     /// §3.3.1 Step 2). Disable only for ablation studies: mapping every

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 
 #include "util/logging.h"
 
 namespace caqr::graph {
-
-namespace {
 
 /**
  * O(V^3) maximum-weight matching (Edmonds' Blossom with dual variables),
@@ -15,57 +14,58 @@ namespace {
  * range (n, 2n]. Internally 1-indexed; node 0 is the null sentinel.
  *
  * Weights are doubled internally so that dual variables stay integral.
+ *
+ * The edge and blossom-membership tables are flat (2n+1)² grids that
+ * outlive one solve: solve() resets every cell a fresh solver would
+ * start from, so reuse changes allocation only, never a mate.
  */
-class BlossomSolver
+class MatchingWorkspace::Solver
 {
   public:
-    BlossomSolver(int n, const std::vector<WeightedEdge>& edges) : n_(n)
+    /// Runs the solver on a fresh instance; returns mates 0-indexed.
+    ///
+    /// Nodes that no positive-weight edge touches are left out of the
+    /// solve. Such a node stays a free root in every phase, as does
+    /// every node that ends unmatched, so its dual always equals theirs;
+    /// it never enters a comparison the others do not already decide.
+    /// The remaining nodes keep their relative order, so every scan and
+    /// tie-break sees them as the full instance would, and the mates
+    /// are the same; the O(n^3) work shrinks to the touched nodes.
+    MatchingResult
+    solve(int n, const std::vector<WeightedEdge>& edges)
     {
-        const int cap = 2 * n_ + 1;
-        g_.assign(cap, std::vector<EdgeCell>(cap));
-        lab_.assign(cap, 0);
-        match_.assign(cap, 0);
-        slack_.assign(cap, 0);
-        st_.assign(cap, 0);
-        pa_.assign(cap, 0);
-        s_.assign(cap, 0);
-        vis_.assign(cap, 0);
-        flo_.assign(cap, {});
-        flo_from_.assign(cap, std::vector<int>(cap, 0));
-
-        for (int u = 1; u <= n_; ++u) {
-            for (int v = 1; v <= n_; ++v) g_[u][v] = EdgeCell{u, v, 0};
-        }
+        local_of_.assign(static_cast<std::size_t>(n), 0);
         for (const auto& e : edges) {
-            CAQR_CHECK(e.u >= 0 && e.u < n_ && e.v >= 0 && e.v < n_,
+            CAQR_CHECK(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n,
                        "matching edge endpoint out of range");
             if (e.u == e.v || e.weight <= 0) continue;
-            const int u = e.u + 1;
-            const int v = e.v + 1;
-            // Weights are doubled so every dual quantity stays integral.
-            const long long w = std::max({g_[u][v].w, 2 * e.weight});
-            g_[u][v].w = g_[v][u].w = w;
+            local_of_[e.u] = local_of_[e.v] = 1;
         }
-        for (int u = 1; u <= n_; ++u) {
-            for (int v = 1; v <= n_; ++v) {
-                flo_from_[u][v] = (u == v ? u : 0);
-            }
+        node_of_.clear();
+        for (int u = 0; u < n; ++u) {
+            if (local_of_[u] == 0) continue;
+            node_of_.push_back(u);
+            local_of_[u] = static_cast<int>(node_of_.size());  // 1-indexed
         }
-    }
 
-    /// Runs the solver; returns mates in 0-indexed form.
-    MatchingResult
-    solve()
-    {
+        reset(static_cast<int>(node_of_.size()));
+        for (const auto& e : edges) {
+            if (e.u == e.v || e.weight <= 0) continue;
+            const int u = local_of_[e.u];
+            const int v = local_of_[e.v];
+            // Weights are doubled so every dual quantity stays integral.
+            const long long w = std::max({g(u, v).w, 2 * e.weight});
+            g(u, v).w = g(v, u).w = w;
+        }
+
         n_x_ = n_;
         long long weight = 0;
-        std::fill(match_.begin(), match_.end(), 0);
         for (int u = 0; u <= n_; ++u) st_[u] = u;
 
         long long w_max = 0;
         for (int u = 1; u <= n_; ++u) {
             for (int v = 1; v <= n_; ++v) {
-                w_max = std::max(w_max, g_[u][v].w);
+                w_max = std::max(w_max, g(u, v).w);
             }
         }
         for (int u = 1; u <= n_; ++u) lab_[u] = w_max;
@@ -73,15 +73,15 @@ class BlossomSolver
         while (run_one_phase()) {}
 
         for (int u = 1; u <= n_; ++u) {
-            if (match_[u] && match_[u] < u) weight += g_[u][match_[u]].w;
+            if (match_[u] && match_[u] < u) weight += g(u, match_[u]).w;
         }
         weight /= 2;  // undo the internal doubling
 
         MatchingResult result;
-        result.mate.assign(static_cast<std::size_t>(n_), -1);
+        result.mate.assign(static_cast<std::size_t>(n), -1);
         for (int u = 1; u <= n_; ++u) {
             if (match_[u]) {
-                result.mate[u - 1] = match_[u] - 1;
+                result.mate[node_of_[u - 1]] = node_of_[match_[u] - 1];
                 if (match_[u] > u) ++result.num_pairs;
             }
         }
@@ -98,24 +98,69 @@ class BlossomSolver
 
     int n_ = 0;
     int n_x_ = 0;
-    std::vector<std::vector<EdgeCell>> g_;
+    std::size_t cap_ = 0;  ///< 2n+1: grid stride of the current solve
+    std::vector<EdgeCell> g_;  ///< cap_ x cap_ edge table
     std::vector<long long> lab_;
     std::vector<int> match_, slack_, st_, pa_, s_, vis_;
     std::vector<std::vector<int>> flo_;
-    std::vector<std::vector<int>> flo_from_;
+    std::vector<int> flo_from_;  ///< cap_ x cap_ blossom membership
     std::deque<int> queue_;
     int lca_timestamp_ = 0;
+    std::vector<int> local_of_;  ///< caller node -> solver node, 0 = left out
+    std::vector<int> node_of_;   ///< solver node - 1 -> caller node
+
+    EdgeCell&
+    g(int u, int v)
+    {
+        return g_[static_cast<std::size_t>(u) * cap_ +
+                  static_cast<std::size_t>(v)];
+    }
+    const EdgeCell&
+    g(int u, int v) const
+    {
+        return g_[static_cast<std::size_t>(u) * cap_ +
+                  static_cast<std::size_t>(v)];
+    }
+    int&
+    flo_from(int b, int x)
+    {
+        return flo_from_[static_cast<std::size_t>(b) * cap_ +
+                         static_cast<std::size_t>(x)];
+    }
+
+    /// Puts every table into the state a freshly built solver for @p n
+    /// nodes starts from; storage only grows.
+    void
+    reset(int n)
+    {
+        n_ = n;
+        cap_ = static_cast<std::size_t>(2 * n + 1);
+        g_.assign(cap_ * cap_, EdgeCell{});
+        flo_from_.assign(cap_ * cap_, 0);
+        for (int u = 1; u <= n_; ++u) {
+            for (int v = 1; v <= n_; ++v) g(u, v) = EdgeCell{u, v, 0};
+            flo_from(u, u) = u;
+        }
+        for (auto* row : {&match_, &slack_, &st_, &pa_, &s_, &vis_}) {
+            row->assign(cap_, 0);
+        }
+        lab_.assign(cap_, 0);
+        if (flo_.size() < cap_) flo_.resize(cap_);
+        for (auto& children : flo_) children.clear();
+        queue_.clear();
+        lca_timestamp_ = 0;
+    }
 
     long long
     e_delta(const EdgeCell& e) const
     {
-        return lab_[e.u] + lab_[e.v] - g_[e.u][e.v].w * 2;
+        return lab_[e.u] + lab_[e.v] - g(e.u, e.v).w * 2;
     }
 
     void
     update_slack(int u, int x)
     {
-        if (!slack_[x] || e_delta(g_[u][x]) < e_delta(g_[slack_[x]][x])) {
+        if (!slack_[x] || e_delta(g(u, x)) < e_delta(g(slack_[x], x))) {
             slack_[x] = u;
         }
     }
@@ -125,7 +170,7 @@ class BlossomSolver
     {
         slack_[x] = 0;
         for (int u = 1; u <= n_; ++u) {
-            if (g_[u][x].w > 0 && st_[u] != x && s_[st_[u]] == 0) {
+            if (g(u, x).w > 0 && st_[u] != x && s_[st_[u]] == 0) {
                 update_slack(u, x);
             }
         }
@@ -165,10 +210,10 @@ class BlossomSolver
     void
     set_match(int u, int v)
     {
-        match_[u] = g_[u][v].v;
+        match_[u] = g(u, v).v;
         if (u <= n_) return;
-        const EdgeCell e = g_[u][v];
-        const int xr = flo_from_[u][e.u];
+        const EdgeCell e = g(u, v);
+        const int xr = flo_from(u, e.u);
         const int pr = get_pr(u, xr);
         for (int i = 0; i < pr; ++i) {
             set_match(flo_[u][i], flo_[u][i ^ 1]);
@@ -231,18 +276,18 @@ class BlossomSolver
         }
         set_st(b, b);
         for (int x = 1; x <= n_x_; ++x) {
-            g_[b][x].w = g_[x][b].w = 0;
+            g(b, x).w = g(x, b).w = 0;
         }
-        for (int x = 1; x <= n_; ++x) flo_from_[b][x] = 0;
+        for (int x = 1; x <= n_; ++x) flo_from(b, x) = 0;
         for (int xs : flo_[b]) {
             for (int x = 1; x <= n_x_; ++x) {
-                if (g_[b][x].w == 0 || e_delta(g_[xs][x]) < e_delta(g_[b][x])) {
-                    g_[b][x] = g_[xs][x];
-                    g_[x][b] = g_[x][xs];
+                if (g(b, x).w == 0 || e_delta(g(xs, x)) < e_delta(g(b, x))) {
+                    g(b, x) = g(xs, x);
+                    g(x, b) = g(x, xs);
                 }
             }
             for (int x = 1; x <= n_; ++x) {
-                if (flo_from_[xs][x]) flo_from_[b][x] = xs;
+                if (flo_from(xs, x)) flo_from(b, x) = xs;
             }
         }
         set_slack(b);
@@ -253,12 +298,12 @@ class BlossomSolver
     {
         for (int child : flo_[b]) set_st(child, child);
 
-        const int xr = flo_from_[b][g_[b][pa_[b]].u];
+        const int xr = flo_from(b, g(b, pa_[b]).u);
         const int pr = get_pr(b, xr);
         for (int i = 0; i < pr; i += 2) {
             const int xs = flo_[b][i];
             const int xns = flo_[b][i + 1];
-            pa_[xs] = g_[xns][xs].u;
+            pa_[xs] = g(xns, xs).u;
             s_[xs] = 1;
             s_[xns] = 0;
             slack_[xs] = 0;
@@ -321,9 +366,9 @@ class BlossomSolver
                 queue_.pop_front();
                 if (s_[st_[u]] == 1) continue;
                 for (int v = 1; v <= n_; ++v) {
-                    if (g_[u][v].w > 0 && st_[u] != st_[v]) {
-                        if (e_delta(g_[u][v]) == 0) {
-                            if (on_found_edge(g_[u][v])) return true;
+                    if (g(u, v).w > 0 && st_[u] != st_[v]) {
+                        if (e_delta(g(u, v)) == 0) {
+                            if (on_found_edge(g(u, v))) return true;
                         } else {
                             update_slack(u, st_[v]);
                         }
@@ -342,9 +387,9 @@ class BlossomSolver
             for (int x = 1; x <= n_x_; ++x) {
                 if (st_[x] == x && slack_[x]) {
                     if (s_[x] == -1) {
-                        d = std::min(d, e_delta(g_[slack_[x]][x]));
+                        d = std::min(d, e_delta(g(slack_[x], x)));
                     } else if (s_[x] == 0) {
-                        d = std::min(d, e_delta(g_[slack_[x]][x]) / 2);
+                        d = std::min(d, e_delta(g(slack_[x], x)) / 2);
                     }
                 }
             }
@@ -374,8 +419,8 @@ class BlossomSolver
 
             for (int x = 1; x <= n_x_; ++x) {
                 if (st_[x] == x && slack_[x] && st_[slack_[x]] != x &&
-                    e_delta(g_[slack_[x]][x]) == 0) {
-                    if (on_found_edge(g_[slack_[x]][x])) return true;
+                    e_delta(g(slack_[x], x)) == 0) {
+                    if (on_found_edge(g(slack_[x], x))) return true;
                 }
             }
             for (int b = n_ + 1; b <= n_x_; ++b) {
@@ -387,15 +432,26 @@ class BlossomSolver
     }
 };
 
-}  // namespace
+
+MatchingWorkspace::MatchingWorkspace() : solver_(std::make_unique<Solver>())
+{
+}
+
+MatchingWorkspace::~MatchingWorkspace() = default;
+
+MatchingResult
+MatchingWorkspace::max_weight_matching(int num_nodes,
+                                       const std::vector<WeightedEdge>& edges)
+{
+    CAQR_CHECK(num_nodes >= 0, "node count must be non-negative");
+    if (num_nodes == 0) return MatchingResult{};
+    return solver_->solve(num_nodes, edges);
+}
 
 MatchingResult
 max_weight_matching(int num_nodes, const std::vector<WeightedEdge>& edges)
 {
-    CAQR_CHECK(num_nodes >= 0, "node count must be non-negative");
-    if (num_nodes == 0) return MatchingResult{};
-    BlossomSolver solver(num_nodes, edges);
-    return solver.solve();
+    return MatchingWorkspace().max_weight_matching(num_nodes, edges);
 }
 
 MatchingResult

@@ -12,6 +12,7 @@
 #ifndef CAQR_GRAPH_MATCHING_H
 #define CAQR_GRAPH_MATCHING_H
 
+#include <memory>
 #include <vector>
 
 namespace caqr::graph {
@@ -44,6 +45,30 @@ struct MatchingResult
  */
 MatchingResult max_weight_matching(int num_nodes,
                                    const std::vector<WeightedEdge>& edges);
+
+/**
+ * Storage for repeated exact matchings: the Blossom solver's flat
+ * (2n+1)² edge and blossom tables and its per-node arrays, kept across
+ * calls so a scheduler that matches once per round allocates once per
+ * schedule. Results equal max_weight_matching() call for call. One
+ * workspace serves one thread at a time.
+ */
+class MatchingWorkspace
+{
+  public:
+    MatchingWorkspace();
+    ~MatchingWorkspace();
+    MatchingWorkspace(const MatchingWorkspace&) = delete;
+    MatchingWorkspace& operator=(const MatchingWorkspace&) = delete;
+
+    /// max_weight_matching() on this workspace's storage.
+    MatchingResult max_weight_matching(int num_nodes,
+                                       const std::vector<WeightedEdge>& edges);
+
+  private:
+    class Solver;
+    std::unique_ptr<Solver> solver_;
+};
 
 /**
  * Greedy maximal matching: repeatedly take the heaviest remaining edge

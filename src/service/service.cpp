@@ -497,6 +497,15 @@ Service::compile_uncached(const CompileRequest& request,
     qs_commuting_options.pool = &pool_;
     sr_options.pool = &pool_;
     transpile_options.pool = &pool_;
+    if (pool_.size() == 0) {
+        // A one-thread service runs every section serially: FanOut
+        // treats a worker-less pool as absent and would otherwise build
+        // transient pools for the requests' default thread budgets.
+        qs_options.num_threads = 1;
+        qs_commuting_options.num_threads = 1;
+        sr_options.num_threads = 1;
+        transpile_options.num_threads = 1;
+    }
 
     // Reuse pass (strategy dispatch). `reuse_level` is the logical
     // circuit the mapping and simulation stages consume; kSrCaqr maps

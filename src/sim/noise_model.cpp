@@ -46,8 +46,8 @@ NoiseModel::gate_error(const circuit::Instruction& instr) const
         if (circuit::is_two_qubit(instr.kind)) {
             const int a = instr.qubits[0];
             const int b = instr.qubits[1];
-            double err = 0.02;
-            if (cal.has_link(a, b)) err = cal.link(a, b).cx_error;
+            const auto* link = cal.find_link(a, b);
+            const double err = link != nullptr ? link->cx_error : 0.02;
             // A SWAP is three CX back to back.
             return instr.kind == GateKind::kSwap ? 3 * err : err;
         }

@@ -137,9 +137,11 @@ swap_score(const Circuit& logical, const arch::Backend& backend,
     }
 
     double link_bias = 0.0;
-    if (options.error_aware && backend.calibration().has_link(pa, pb)) {
+    if (options.error_aware) {
         // Small bias toward reliable links; never dominates distance.
-        link_bias = backend.calibration().link(pa, pb).cx_error;
+        if (const auto* link = backend.calibration().find_link(pa, pb)) {
+            link_bias = link->cx_error;
+        }
     }
     const double decay_factor =
         std::max(s.decay[pa], s.decay[pb]) + 1.0;

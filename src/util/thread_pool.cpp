@@ -4,6 +4,12 @@
 
 namespace caqr::util {
 
+namespace {
+
+std::atomic<long long> g_workers_started{0};
+
+}  // namespace
+
 ThreadPool::ThreadPool(int num_workers)
 {
     if (num_workers < 0) {
@@ -13,6 +19,7 @@ ThreadPool::ThreadPool(int num_workers)
     for (int i = 0; i < num_workers; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
     }
+    g_workers_started.fetch_add(num_workers, std::memory_order_relaxed);
 }
 
 ThreadPool::~ThreadPool()
@@ -23,6 +30,12 @@ ThreadPool::~ThreadPool()
     }
     ready_.notify_all();
     for (auto& worker : workers_) worker.join();
+}
+
+long long
+ThreadPool::workers_started()
+{
+    return g_workers_started.load(std::memory_order_relaxed);
 }
 
 int

@@ -57,6 +57,10 @@ class ThreadPool
     /// Number of worker threads (excludes the calling thread).
     int size() const { return static_cast<int>(workers_.size()); }
 
+    /// Worker threads every ThreadPool of this process has started so
+    /// far; the difference across a call counts the threads it created.
+    static long long workers_started();
+
     /// Total evaluation threads for a user-facing `num_threads` knob:
     /// positive values pass through, zero/negative resolve to the
     /// hardware thread count (at least 1).

@@ -181,6 +181,47 @@ TEST_P(MatchingDifferential, MatchesBruteForce)
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, MatchingDifferential,
                          ::testing::Range(0, 60));
 
+/// One workspace across interleaved instance sizes: grids and blossom
+/// lists left over from a larger, blossom-heavy solve must not leak
+/// into the next. Every solve equals a fresh-workspace solve mate for
+/// mate, and brute force where it is cheap.
+TEST(MatchingWorkspace, ReuseMatchesFreshSolves)
+{
+    util::Rng rng(777);
+    graph::MatchingWorkspace workspace;
+    int solves = 0;
+    for (int round = 0; round < 12; ++round) {
+        for (const int n : {16, 5, 16, 1, 12, 0, 9, 16, 3, 10}) {
+            // Alternate weight spreads: uniform weights force
+            // blossoms, wide ones exercise the dual adjustments.
+            const int max_weight = (round % 3 == 0) ? 1 : 4 + 5 * round;
+            std::vector<WeightedEdge> edges;
+            for (int u = 0; u < n; ++u) {
+                for (int v = u + 1; v < n; ++v) {
+                    if (rng.next_bool(0.35)) {
+                        edges.push_back({u, v,
+                                         static_cast<long long>(
+                                             rng.next_int(1, max_weight))});
+                    }
+                }
+            }
+            const auto reused = workspace.max_weight_matching(n, edges);
+            const auto fresh = graph::max_weight_matching(n, edges);
+            ASSERT_EQ(reused.mate, fresh.mate)
+                << "round " << round << " n=" << n;
+            EXPECT_EQ(reused.total_weight, fresh.total_weight);
+            EXPECT_EQ(reused.num_pairs, fresh.num_pairs);
+            ASSERT_TRUE(graph::is_valid_matching(n, edges, reused));
+            if (n <= 10) {
+                EXPECT_EQ(reused.total_weight, brute_force_best(n, edges))
+                    << "round " << round << " n=" << n;
+            }
+            ++solves;
+        }
+    }
+    EXPECT_EQ(solves, 120);
+}
+
 /// Uniform-weight sweep: maximum weight == maximum cardinality here,
 /// which stresses blossom formation specifically.
 class MatchingCardinality : public ::testing::TestWithParam<int>

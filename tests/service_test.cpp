@@ -26,6 +26,7 @@
 #include "service/cache.h"
 #include "service/service.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace {
@@ -602,6 +603,40 @@ TEST(ServiceCompile, SelectByEspCapturesEveryVersionTranspile)
     }
     EXPECT_EQ(artifacts, 1u);
     fs::remove_all(dir);
+}
+
+/// A one-thread service compiles every request serially: no pool
+/// threads, whatever thread budget the request's pass options keep
+/// (the defaults ask for one thread per core).
+TEST(ServiceCompile, OneThreadServiceStartsNoThreads)
+{
+    ServiceOptions options;
+    options.num_threads = 1;
+    Service service(options);
+    const auto before = util::ThreadPool::workers_started();
+
+    CompileRequest qs;
+    qs.circuit = apps::bv_circuit(10);
+    qs.select_by_esp = true;
+    EXPECT_TRUE(service.compile(qs).ok());
+
+    CompileRequest sr;
+    sr.circuit = apps::bv_circuit(10);
+    sr.strategy = Strategy::kSrCaqr;
+    EXPECT_TRUE(service.compile(sr).ok());
+
+    CompileRequest commuting;
+    util::Rng rng(3);
+    core::CommutingSpec spec;
+    spec.interaction = graph::random_graph(8, 0.3, rng);
+    commuting.commuting = spec;
+    for (const Strategy strategy :
+         {Strategy::kQsCommuting, Strategy::kSrCaqr}) {
+        commuting.strategy = strategy;
+        EXPECT_TRUE(service.compile(commuting).ok());
+    }
+
+    EXPECT_EQ(util::ThreadPool::workers_started(), before);
 }
 
 /// With the cache disabled (the default), nothing is ever served from

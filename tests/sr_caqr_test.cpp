@@ -11,6 +11,7 @@
 #include "transpile/router.h"
 #include "transpile/transpiler.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace caqr {
 namespace {
@@ -173,6 +174,31 @@ TEST(SrCaqrCommuting, CompliantAndFewerQubits)
     EXPECT_EQ(result.circuit.two_qubit_gate_count() -
                   result.swaps_added,
               spec.interaction.num_edges());
+}
+
+TEST(SrCaqrCommuting, LosingTrialsStopEarly)
+{
+    // Most trials of a QAOA probe end above a finished portfolio
+    // trial's SWAP count or an earlier level's best; they stop early
+    // and are counted, once per run.
+    const bool was_enabled = util::trace::enabled();
+    util::trace::reset();
+    util::trace::set_enabled(true);
+    util::Rng rng(12);
+    core::CommutingSpec spec;
+    spec.interaction = graph::random_graph(14, 0.3, rng);
+    const auto backend = arch::Backend::fake_mumbai();
+    core::SrCaqrOptions options;
+    options.num_threads = 1;
+    ASSERT_TRUE(core::sr_caqr_commuting_or(spec, backend, options).ok());
+    const auto metrics = util::trace::collect();
+    util::trace::reset();
+    util::trace::set_enabled(was_enabled);
+
+    const double trials = metrics.counters.at("sr_caqr.variant_trials");
+    const double aborted = metrics.counters.at("sr_caqr.trials_aborted");
+    EXPECT_GT(aborted, 0.0);
+    EXPECT_LT(aborted, trials);
 }
 
 TEST(SrCaqrCommuting, EnergyMatchesPlainCircuit)
