@@ -25,7 +25,7 @@
 namespace caqr::core {
 
 /// SR-CaQR options. The embedded CommonOptions supply the per-request
-/// trace opt-out, the variant-trial thread count / borrowed pool, and
+/// trace opt-out, the variant-trial parallelism / borrowed pool, and
 /// the `seed` of the jittered trials. The pass is deterministic: trials
 /// 0-7 are fixed heuristic variants, trials 8 and up are seeded-jitter
 /// runs, and the winner never depends on thread count.

@@ -33,8 +33,8 @@ struct TradeoffPoint
  * Sweeps QS-CaQR over a regular circuit from the original qubit count
  * to the minimum reachable. When @p backend is non-null every version
  * is also hardware-mapped with the baseline transpiler; the versions
- * and their routing trials fan out on @p options' pool and thread
- * budget.
+ * and their routing trials fan out on @p options' pool (the shared
+ * pool when it has none) unless `num_threads` is 1.
  */
 std::vector<TradeoffPoint> explore_tradeoff(
     const circuit::Circuit& circuit, const arch::Backend* backend,
@@ -56,10 +56,10 @@ struct EspSelection
 };
 
 /// Hardware-maps every version of @p result on @p backend with
-/// @p options — the versions fan out on its pool and thread budget,
-/// and each version's routing trials share them (the winner is
-/// identical at any count) — and returns the one maximizing estimated
-/// success probability.
+/// @p options — the versions fan out on its pool (the shared pool when
+/// it has none), and each version's routing trials share it (the
+/// winner is identical at any thread count) — and returns the one
+/// maximizing estimated success probability.
 EspSelection select_best_by_esp(
     const QsCaqrResult& result, const arch::Backend& backend,
     const transpile::TranspileOptions& options = {});

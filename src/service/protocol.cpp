@@ -278,8 +278,8 @@ Session::handle_line(const std::string& line)
                 prototype_.transpile.trials = parsed;
                 prototype_.sr.trials = parsed;
             } else {
-                // 0 = one thread per hardware core; capped by the
-                // service pool at compile time.
+                // 1 = serial; anything else races the trials on the
+                // service pool, which alone sets the thread count.
                 prototype_.transpile.num_threads = parsed;
                 prototype_.sr.num_threads = parsed;
             }

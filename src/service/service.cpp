@@ -484,11 +484,11 @@ Service::compile_uncached(const CompileRequest& request,
 
     // Every parallel section of the request (raced routing/variant
     // trials, commuting candidate schedules, ESP version selection)
-    // borrows the service pool instead of spinning up transient
-    // workers; util::FanOut carries this thread's request binding onto
-    // the workers. The pool is never part of a cache key and results
-    // are bit-identical with or without it, so this only changes wall
-    // time.
+    // runs on the service pool, so a one-thread service (no workers)
+    // compiles serially; util::FanOut carries this thread's request
+    // binding onto the workers. The pool is never part of a cache key
+    // and results are bit-identical with or without it, so this only
+    // changes wall time.
     core::QsCaqrOptions qs_options = request.qs;
     core::QsCommutingOptions qs_commuting_options = request.qs_commuting;
     core::SrCaqrOptions sr_options = request.sr;
@@ -497,15 +497,6 @@ Service::compile_uncached(const CompileRequest& request,
     qs_commuting_options.pool = &pool_;
     sr_options.pool = &pool_;
     transpile_options.pool = &pool_;
-    if (pool_.size() == 0) {
-        // A one-thread service runs every section serially: FanOut
-        // treats a worker-less pool as absent and would otherwise build
-        // transient pools for the requests' default thread budgets.
-        qs_options.num_threads = 1;
-        qs_commuting_options.num_threads = 1;
-        sr_options.num_threads = 1;
-        transpile_options.num_threads = 1;
-    }
 
     // Reuse pass (strategy dispatch). `reuse_level` is the logical
     // circuit the mapping and simulation stages consume; kSrCaqr maps

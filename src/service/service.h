@@ -247,7 +247,8 @@ std::string batch_csv_row(const CompileReport& report);
 /// Service-level configuration.
 struct ServiceOptions
 {
-    /// Threads compiling batch entries concurrently: 1 = serial,
+    /// Threads of the service pool, which runs batch entries and every
+    /// parallel section of a request: 1 = serial (no workers),
     /// 0/negative = one per hardware thread.
     int num_threads = 0;
 

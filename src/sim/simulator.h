@@ -28,10 +28,11 @@ struct SimOptions
 {
     std::size_t shots = 4096;
     std::uint64_t seed = 1234;
-    /// Shot-batch threads: 1 = serial, 0/negative = one per hardware
-    /// thread. Counts are bit-identical for any value: every shot
-    /// draws from its own RNG stream `Rng(seed, shot_index)` and the
-    /// per-thread histograms merge by commutative addition.
+    /// Shot-batch parallelism: 1 = serial, anything else = batches on
+    /// `util::ThreadPool::shared()`. Counts are bit-identical for any
+    /// value: every shot draws from its own RNG stream
+    /// `Rng(seed, shot_index)` and the per-batch histograms merge by
+    /// commutative addition.
     int num_threads = 1;
     /// Pre-multiply adjacent noiseless unconditioned gates confined to
     /// one or two wires into single 2x2/4x4 applications
@@ -48,8 +49,8 @@ struct SimOptions
  * The instruction stream is compiled once per call (1q/2q segment
  * fusion, per-op noise probabilities, idle-noise wire remapping);
  * shots then
- * execute against the compiled program, batched across a
- * util::ThreadPool when options.num_threads != 1.
+ * execute against the compiled program, batched across
+ * util::ThreadPool::shared() when options.num_threads != 1.
  */
 Counts simulate(const circuit::Circuit& circuit, const SimOptions& options,
                 const NoiseModel& noise = NoiseModel::ideal());

@@ -39,7 +39,7 @@ struct TranspileResult
 };
 
 /// Pipeline options. The embedded CommonOptions supply the layout-
-/// perturbation seed, the trial thread count / borrowed pool, and the
+/// perturbation seed, the trial parallelism / borrowed pool, and the
 /// per-request trace opt-out.
 struct TranspileOptions : CommonOptions
 {

@@ -5,7 +5,7 @@
  * The pass-specific option structs (`QsCaqrOptions`,
  * `QsCommutingOptions`, `SrCaqrOptions`, `TranspileOptions`) embed
  * `CommonOptions` as a base, so the knobs every pass understands —
- * evaluation threads, heuristic seed, trace opt-out — are declared
+ * parallelism, heuristic seed, trace opt-out — are declared
  * exactly once and cannot drift between passes. Call sites keep
  * writing `options.num_threads = 4;` as before.
  */
@@ -24,9 +24,10 @@ namespace caqr {
 /// options struct.
 struct CommonOptions
 {
-    /// Evaluation threads for the pass's parallel sections: 1 = serial,
-    /// 0/negative = one per hardware thread. Every pass guarantees
-    /// bit-identical results for any value.
+    /// Parallel sections of the pass: 1 = serial, anything else (the
+    /// default 0 included) = on `pool`. Pools are sized where they are
+    /// built, not here. Every pass guarantees bit-identical results for
+    /// any value.
     int num_threads = 0;
     /// Seed for heuristic perturbations (e.g. layout-trial shuffles).
     /// The default reproduces the historical hard-coded behavior.
@@ -35,11 +36,11 @@ struct CommonOptions
     /// tracing is globally enabled (per-request observability opt-out).
     bool trace = true;
     /// Borrowed worker pool for the pass's parallel sections (see
-    /// `util::FanOut`). Null, or a pool without workers, = the section
-    /// spawns a transient pool sized by `num_threads` when it needs
-    /// one. The service sets this to its long-lived pool so every
-    /// fan-out of a request shares its workers. Never part of cache
-    /// keys; results are bit-identical with or without it.
+    /// `util::FanOut`); a pool without workers runs them serially.
+    /// Null = the process-wide `util::ThreadPool::shared()`. The
+    /// service sets this to its own pool so every fan-out of a request
+    /// shares its workers. Never part of cache keys; results are
+    /// bit-identical with or without it.
     util::ThreadPool* pool = nullptr;
 };
 

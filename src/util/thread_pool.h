@@ -13,9 +13,10 @@
  *
  * Passes never build pools themselves: raced routing trials, SR-CaQR
  * variants, commuting candidate schedules, ESP version selection and
- * shot batches all go through `FanOut`, which picks serial, borrowed
- * or transient execution in one place and carries the caller's
- * request binding onto whichever thread runs each task.
+ * shot batches all go through `FanOut`, which runs a section serially
+ * or on a pool — the borrowed one, else `ThreadPool::shared()` — and
+ * carries the caller's request binding onto whichever thread runs each
+ * task.
  */
 #ifndef CAQR_UTIL_THREAD_POOL_H
 #define CAQR_UTIL_THREAD_POOL_H
@@ -65,6 +66,11 @@ class ThreadPool
     /// positive values pass through, zero/negative resolve to the
     /// hardware thread count (at least 1).
     static int resolve_threads(int requested);
+
+    /// The process-wide pool of `resolve_threads(0) - 1` workers that
+    /// runs every parallel section given no pool of its own. Built on
+    /// first use; lives until static destruction.
+    static ThreadPool& shared();
 
     /// Schedules @p fn and returns a future for its result. Exceptions
     /// propagate through the future.
@@ -169,41 +175,42 @@ class ThreadPool
  * (`trace::current_request()` / `current_capture()`); `map()` then runs
  * fn(0..n-1) and returns the results in index order:
  *  - serially on the calling thread when the budget resolves to one
- *    thread or n <= 1;
- *  - otherwise on the borrowed pool when it has workers;
- *  - otherwise on a transient pool of min(threads, n) - 1 workers,
- *    built by the first parallel `map()` and reused by later ones, so a
- *    search that fans out once per step spawns threads once.
- * Every task runs inside a `trace::RequestScope` of the caller's
- * binding, so spans from pool threads reach the owning request's
- * capture. Results are bit-identical on every path as long as the
- * tasks are independent.
+ *    thread, n <= 1, or the pool it would use has no workers;
+ *  - otherwise on the borrowed pool, or on `ThreadPool::shared()` when
+ *    none is given.
+ * Pools are sized only where they are built, so a budget above one
+ * means "parallel", not a thread count. Every task runs inside a
+ * `trace::RequestScope` of the caller's binding, so spans from pool
+ * threads reach the owning request's capture. Results are bit-identical
+ * on every path as long as the tasks are independent. Sections nest:
+ * `ThreadPool::map` runs tasks on its caller too, so a task that opens
+ * its own `FanOut` on the same pool drains that batch itself.
  */
 class FanOut
 {
   public:
-    /// @p num_threads as in `CommonOptions` (1 = serial, 0/negative =
-    /// one per hardware thread); @p pool may be null.
+    /// @p num_threads as in `CommonOptions` (1 = serial, anything else
+    /// = parallel); @p pool may be null.
     FanOut(int num_threads, ThreadPool* pool);
     explicit FanOut(const CommonOptions& options)
         : FanOut(options.num_threads, options.pool)
     {
     }
 
-    FanOut(const FanOut&) = delete;
-    FanOut& operator=(const FanOut&) = delete;
-
     template <typename Fn>
     auto
     map(std::size_t n, Fn&& fn)
         -> std::vector<std::invoke_result_t<std::decay_t<Fn>&, std::size_t>>
     {
-        ThreadPool* pool = n > 1 ? pool_for(n) : nullptr;
-        if (pool != nullptr) {
-            return pool->map(n, [&](std::size_t i) {
-                trace::RequestScope scope(request_, capture_);
-                return fn(i);
-            });
+        if (parallel_ && n > 1) {
+            ThreadPool& pool =
+                borrowed_ != nullptr ? *borrowed_ : ThreadPool::shared();
+            if (pool.size() > 0) {
+                return pool.map(n, [&](std::size_t i) {
+                    trace::RequestScope scope(request_, capture_);
+                    return fn(i);
+                });
+            }
         }
         using R = std::invoke_result_t<std::decay_t<Fn>&, std::size_t>;
         std::vector<R> results;
@@ -213,12 +220,8 @@ class FanOut
     }
 
   private:
-    /// The pool a batch of @p n > 1 tasks runs on; null = serial.
-    ThreadPool* pool_for(std::size_t n);
-
-    int threads_;
+    bool parallel_;
     ThreadPool* borrowed_;
-    std::unique_ptr<ThreadPool> transient_;
     const trace::RequestContext* request_;
     trace::RequestCapture* capture_;
 };

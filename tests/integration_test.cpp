@@ -2,6 +2,10 @@
 /// of transformed circuits, and end-to-end fidelity smoke checks.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "apps/benchmarks.h"
 #include "apps/qaoa.h"
 #include "arch/backend.h"
@@ -16,6 +20,7 @@
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace caqr {
 namespace {
@@ -48,6 +53,32 @@ TEST(Tradeoff, LogicalOnlySweepSkipsCompilation)
         EXPECT_EQ(point.compiled_depth, 0);
         EXPECT_EQ(point.swaps, 0);
         EXPECT_GT(point.logical_depth, 0);
+    }
+}
+
+/// Given no pool, the version fan-out and every version's routing
+/// trials run on the shared pool: the first call starts at most its
+/// workers, every later call none.
+TEST(Tradeoff, PoolLessSectionsStartThreadsOnce)
+{
+    const auto backend = arch::Backend::fake_mumbai();
+    const auto circuit = apps::bv_circuit(10);
+    const auto result = core::qs_caqr_or(circuit).value();
+    const std::vector<std::pair<const char*, std::function<void()>>> calls = {
+        {"select_best_by_esp",
+         [&] { core::select_best_by_esp(result, backend); }},
+        {"explore_tradeoff",
+         [&] { core::explore_tradeoff(circuit, &backend); }},
+    };
+    const long long workers = util::ThreadPool::resolve_threads(0) - 1;
+    for (const auto& [name, call] : calls) {
+        for (int round = 0; round < 2; ++round) {
+            const long long before = util::ThreadPool::workers_started();
+            call();
+            EXPECT_LE(util::ThreadPool::workers_started() - before,
+                      round == 0 ? workers : 0)
+                << name << " call " << round + 1;
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 /// Tests for the fixed-size thread pool behind the commuting QS-CaQR
 /// search, raced routing and the service: task execution, deterministic
 /// result ordering, exception propagation, batch reuse, and clean
-/// shutdown — plus FanOut's serial / borrowed / transient choice.
+/// shutdown — plus FanOut's serial / on-a-pool choice and the shared
+/// pool it falls back to.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -171,7 +172,7 @@ TEST(ThreadPool, NegativeWorkerCountUsesHardware)
 }
 
 // ---------------------------------------------------------------------
-// FanOut: the one serial / borrowed / transient decision
+// FanOut: the one serial / on-a-pool decision
 // ---------------------------------------------------------------------
 
 /// Runs @p n tasks through @p fan_out and returns the set of threads
@@ -213,13 +214,14 @@ TEST(FanOut, SingleTaskRunsOnCaller)
     EXPECT_TRUE(threads_used(fan_out, 0).empty());
 }
 
-TEST(FanOut, BorrowedPoolRunsTheBatch)
+/// The threads @p pool's workers run on, found by occupying all of
+/// them at once with tasks that wait for each other.
+std::set<std::thread::id>
+pool_workers(ThreadPool& pool)
 {
-    ThreadPool pool(3);
-    // Three tasks that wait for each other occupy all three workers.
-    std::latch all_running(3);
+    std::latch all_running(pool.size());
     std::vector<std::future<std::thread::id>> futures;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < pool.size(); ++i) {
         futures.push_back(pool.submit([&all_running] {
             all_running.arrive_and_wait();
             return std::this_thread::get_id();
@@ -227,6 +229,13 @@ TEST(FanOut, BorrowedPoolRunsTheBatch)
     }
     std::set<std::thread::id> workers;
     for (auto& future : futures) workers.insert(future.get());
+    return workers;
+}
+
+TEST(FanOut, BorrowedPoolRunsTheBatch)
+{
+    ThreadPool pool(3);
+    const auto workers = pool_workers(pool);
     ASSERT_EQ(workers.size(), 3u);
 
     FanOut fan_out(4, &pool);
@@ -236,13 +245,56 @@ TEST(FanOut, BorrowedPoolRunsTheBatch)
     }
 }
 
-TEST(FanOut, WorkerlessPoolFallsBackToTransientPool)
+TEST(FanOut, WorkerlessPoolRunsSerially)
 {
     ThreadPool empty(0);
     FanOut fan_out(3, &empty);
-    // Caller plus min(3, n) - 1 = 2 transient workers.
-    EXPECT_LE(threads_used(fan_out, 64).size(), 3u);
-    EXPECT_LE(threads_used(fan_out, 64).size(), 3u);
+    const auto before = ThreadPool::workers_started();
+    const auto ids = threads_used(fan_out, 64);
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+    EXPECT_EQ(ThreadPool::workers_started(), before);
+}
+
+TEST(FanOut, NoPoolRunsOnSharedPool)
+{
+    FanOut fan_out(4, nullptr);
+    threads_used(fan_out, 8);  // builds the shared pool if no test has
+    EXPECT_EQ(ThreadPool::shared().size(),
+              ThreadPool::resolve_threads(0) - 1);
+    const auto workers = pool_workers(ThreadPool::shared());
+
+    const auto before = ThreadPool::workers_started();
+    FanOut second(0, nullptr);
+    for (const auto& id : threads_used(second, 64)) {
+        EXPECT_TRUE(id == std::this_thread::get_id() || workers.count(id))
+            << "task ran outside the shared pool";
+    }
+    EXPECT_EQ(ThreadPool::workers_started(), before);
+}
+
+TEST(FanOut, NestedSectionsComplete)
+{
+    ThreadPool one(1);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+        FanOut outer(4, pool);
+        const auto results = outer.map(8, [pool](std::size_t i) {
+            FanOut inner(4, pool);
+            const auto parts = inner.map(16, [i](std::size_t j) {
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+                return static_cast<int>(i * 100 + j);
+            });
+            for (std::size_t j = 0; j < parts.size(); ++j) {
+                EXPECT_EQ(parts[j], static_cast<int>(i * 100 + j));
+            }
+            return std::accumulate(parts.begin(), parts.end(), 0);
+        });
+        ASSERT_EQ(results.size(), 8u);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            // sum over j < 16 of (100 i + j)
+            EXPECT_EQ(results[i], static_cast<int>(1600 * i + 120));
+        }
+    }
 }
 
 TEST(FanOut, PropagatesLowestIndexException)

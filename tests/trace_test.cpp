@@ -313,8 +313,8 @@ TEST_F(TraceTest, FanOutTasksRecordIntoCallerCapture)
     for (const int binding : bound) EXPECT_EQ(binding, 0);
 }
 
-/// The same holds on a transient pool (no borrowed pool given).
-TEST_F(TraceTest, FanOutTransientPoolRecordsIntoCallerCapture)
+/// The same holds on the shared pool (no borrowed pool given).
+TEST_F(TraceTest, FanOutSharedPoolRecordsIntoCallerCapture)
 {
     trace::set_enabled(false);
     trace::RequestContext ctx;
@@ -324,7 +324,7 @@ TEST_F(TraceTest, FanOutTransientPoolRecordsIntoCallerCapture)
         trace::RequestScope scope(&ctx, &capture);
         util::FanOut fan_out(4, nullptr);
         fan_out.map(16, [](std::size_t) {
-            trace::Span span("unit.transient");
+            trace::Span span("unit.shared");
             return 0;
         });
     }
